@@ -10,26 +10,19 @@ Subcommands:
   marked ``dualized`` unless re-canonicalized.
 * ``counts``: table of class counts over a rank/size rectangle.
 
-Output is deterministic: byte-identical across runs and thread counts.
+All three run the same pipeline (``_pipeline``), in one process and one
+candidate at a time, so memory does not grow with the number of candidates.
+Output is deterministic: byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, TypeVar
+from typing import Iterable, Iterator, Optional
 
-from .enumeration import (
-    InvalidShape,
-    MultiplicityFunction,
-    _lex_larger_witness_columns,
-    candidate_functions,
-    generate,
-    label_vector_of,
-)
+from .enumeration import InvalidShape, generate
 from .gf2 import Gf2Matrix, gl_column_tuples, gl_group_order, transform_bits
 from .matroid import BinaryMatroid
 from .regularity import is_regular
@@ -44,9 +37,6 @@ MATROID_CLASSES = (
 
 MAX_SIZE = 15
 MAX_RANK = 7
-
-_T = TypeVar("_T")
-_U = TypeVar("_U")
 
 
 class ResourceGuard(Exception):
@@ -116,8 +106,12 @@ def matroid_of_labels(labels: Iterable[int], k: int) -> BinaryMatroid:
     return BinaryMatroid(Gf2Matrix.from_columns(list(labels), k))
 
 
-def compute_flags(m: BinaryMatroid) -> str:
-    """Recompute the L, S, C, R properties from scratch."""
+def compute_flags(m: BinaryMatroid, connected: Optional[bool] = None) -> str:
+    """Recompute the L, S, C, R properties from scratch.
+
+    connected, when given, is the already known connectivity of m or of its
+    dual (the same property once m has two or more elements).
+    """
     cols = [m.column_of(e) for e in m.ground]
     flags = ""
     loopless = all(cols)
@@ -125,35 +119,11 @@ def compute_flags(m: BinaryMatroid) -> str:
         flags += "L"
     if loopless and len(set(cols)) == len(cols):
         flags += "S"
-    if m.is_connected():
+    if m.is_connected() if connected is None else connected:
         flags += "C"
     if is_regular(m)[0]:
         flags += "R"
     return flags
-
-
-def _worker_count(threads: Optional[int]) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("MATROID_THREADS")
-    if env is not None and env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError("MATROID_THREADS must be an integer") from None
-    return os.cpu_count() or 1
-
-
-def _ordered_map(
-    fn: Callable[[_T], _U], items: Iterable[_T], threads: Optional[int]
-) -> Iterator[_U]:
-    """Apply fn preserving input order, optionally on a thread pool."""
-    workers = _worker_count(threads)
-    if workers == 1:
-        yield from map(fn, items)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, items, chunksize=16)
 
 
 def _split_class(matroid_class: str) -> tuple[str, bool]:
@@ -172,6 +142,46 @@ def _guard(k: int, n: int, force: bool) -> None:
         )
 
 
+def _pipeline(
+    k: int,
+    n: int,
+    matroid_class: str,
+    regular_only: bool = False,
+    with_tutte: bool = False,
+    with_flags: bool = True,
+    dualize: bool = False,
+) -> Iterator[CatalogueEntry]:
+    """The catalogue's one generation pipeline, one candidate at a time:
+    candidate -> canonical -> matroid -> flags -> class filters -> Tutte.
+
+    With dualize, the canonical side has rank n - k; representatives that
+    pass the connectivity filter are dualized before their flags and Tutte
+    polynomial are computed.  Without flags, the matroid is built only for a
+    filter, only the properties the filters need are computed, and entries
+    carry no flags.
+    """
+    base, need_connected = _split_class(matroid_class)
+    side = n - k if dualize else k
+    for lv in generate(side, n, base):
+        labels, letters, tutte = lv.labels, "", None
+        if with_flags or need_connected or regular_only:
+            m = matroid_of_labels(labels, side)
+            if need_connected and not m.is_connected():
+                continue
+            if dualize:
+                m = m.dual()
+                labels = tuple(sorted(m.matrix.columns()))
+            if with_flags:
+                letters = compute_flags(m, True if need_connected else None)
+            if regular_only and not (
+                "R" in letters if with_flags else is_regular(m)[0]
+            ):
+                continue
+            if with_tutte:
+                tutte = tutte_by_activities(m)
+        yield CatalogueEntry(k, n, labels, letters, tutte, dualize)
+
+
 def run_generate(
     k: int,
     n: int,
@@ -180,29 +190,12 @@ def run_generate(
     with_tutte: bool = False,
     out: Optional[str] = None,
     force: bool = False,
-    threads: Optional[int] = None,
 ) -> list[CatalogueEntry]:
     """Generate one catalogue cell; write it to out when given."""
-    base, need_connected = _split_class(matroid_class)
     if not 1 <= k <= n:
         raise InvalidShape(f"need 1 <= rank <= size, got rank {k}, size {n}")
     _guard(k, n, force)
-
-    def process(values: tuple[int, ...]) -> Optional[CatalogueEntry]:
-        if _lex_larger_witness_columns(values, k) is not None:
-            return None
-        labels = label_vector_of(MultiplicityFunction(values, k)).labels
-        m = matroid_of_labels(labels, k)
-        flags = compute_flags(m)
-        if need_connected and "C" not in flags:
-            return None
-        if regular_only and "R" not in flags:
-            return None
-        tutte = tutte_by_activities(m) if with_tutte else None
-        return CatalogueEntry(k, n, labels, flags, tutte, False)
-
-    candidates = candidate_functions(k, n, base)
-    entries = [e for e in _ordered_map(process, candidates, threads) if e]
+    entries = list(_pipeline(k, n, matroid_class, regular_only, with_tutte))
     _write_entries(entries, out)
     return entries
 
@@ -230,7 +223,6 @@ def run_dual_listing(
     matroid_class: str,
     out: Optional[str] = None,
     canonicalize: bool = False,
-    threads: Optional[int] = None,
 ) -> list[CatalogueEntry]:
     """List rank-k entries as duals of generated rank-(n-k) representatives.
 
@@ -238,26 +230,12 @@ def run_dual_listing(
     dualized; the emitted label vectors are sorted but generally not the
     standard representatives, hence the dualized marker.
     """
-    base, need_connected = _split_class(matroid_class)
     if k < 1 or not 1 <= n - k <= MAX_RANK:
         raise InvalidShape(
             f"dual listing needs 1 <= size - rank <= {MAX_RANK} "
             f"and rank >= 1, got rank {k}, size {n}"
         )
-
-    def process(lv) -> Optional[CatalogueEntry]:
-        primal = matroid_of_labels(lv.labels, n - k)
-        if need_connected and not primal.is_connected():
-            return None
-        dual = primal.dual()
-        labels = tuple(sorted(dual.matrix.columns()))
-        return CatalogueEntry(k, n, labels, compute_flags(dual), None, True)
-
-    entries = [
-        e
-        for e in _ordered_map(process, generate(n - k, n, base), threads)
-        if e
-    ]
+    entries = list(_pipeline(k, n, matroid_class, dualize=True))
     if canonicalize:
         entries = sorted(
             (
@@ -283,41 +261,17 @@ def run_counts(
     matroid_class: str,
     regular_only: bool = False,
     force: bool = False,
-    threads: Optional[int] = None,
 ) -> str:
     """Class-count table over all cells with rank <= max_k, size <= max_n."""
-    base, need_connected = _split_class(matroid_class)
     if max_k < 1 or max_n < 1:
         raise InvalidShape("table bounds must be at least 1")
     _guard(max_k, max_n, force)
-
-    def count_cell(k: int, n: int) -> int:
-        if k > n:
-            return 0
-
-        def keep(values: tuple[int, ...]) -> bool:
-            if _lex_larger_witness_columns(values, k) is not None:
-                return False
-            if not need_connected and not regular_only:
-                return True
-            labels = label_vector_of(MultiplicityFunction(values, k)).labels
-            m = matroid_of_labels(labels, k)
-            if need_connected and not m.is_connected():
-                return False
-            if regular_only and not is_regular(m)[0]:
-                return False
-            return True
-
-        return sum(
-            1
-            for kept in _ordered_map(keep, candidate_functions(k, n, base), threads)
-            if kept
-        )
-
     cells = {
-        (k, n): count_cell(k, n)
+        (k, n): sum(
+            1 for _ in _pipeline(k, n, matroid_class, regular_only, with_flags=False)
+        )
         for k in range(1, max_k + 1)
-        for n in range(1, max_n + 1)
+        for n in range(k, max_n + 1)
     }
     width = max(
         [len(str(v)) for v in cells.values()]
@@ -329,7 +283,7 @@ def run_counts(
     lines = [header]
     for k in range(1, max_k + 1):
         row = [f"k={k}".rjust(width)] + [
-            str(cells[k, n]).rjust(width) for n in range(1, max_n + 1)
+            str(cells.get((k, n), 0)).rjust(width) for n in range(1, max_n + 1)
         ]
         lines.append(" ".join(row))
     return "\n".join(lines) + "\n"
@@ -430,11 +384,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ResourceGuard as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        # Bad environment configuration (e.g. a non-integer MATROID_THREADS)
-        # is a usage error, same as a rejected argument.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

@@ -134,7 +134,7 @@ def _satisfies_necessary_conditions(values: Sequence[int], k: int) -> bool:
     return True
 
 
-def _complete_to_basis(cols: list[int], k: int) -> tuple[int, ...]:
+def _complete_to_basis(cols: Sequence[int], k: int) -> list[int]:
     span = {0}
     for c in cols:
         span |= {c ^ x for x in span}
@@ -145,20 +145,21 @@ def _complete_to_basis(cols: list[int], k: int) -> tuple[int, ...]:
             out.append(v)
             span |= {v ^ x for x in span}
         v += 1
-    return tuple(out)
+    return out
 
 
 def _lex_larger_witness_columns(
     values: Sequence[int], k: int
 ) -> tuple[int, ...] | None:
-    """Columns of an invertible matrix whose relabelling of values is
+    """Leading columns of an invertible matrix whose relabelling of values is
     lexicographically larger, or None when values is orbit-maximal.
 
     The matrix is built one unit-vector image at a time.  Choosing the first
     t images fixes the relabelled function on labels below 2^t, so each new
     image is compared block against block: a larger block is a witness no
     matter how the matrix is completed, a smaller one prunes the whole
-    subtree, and only exact ties recurse.
+    subtree, and only exact ties recurse.  The returned images are therefore
+    independent, and every completion of them to a basis is a witness.
     """
     size = 1 << k
     in_span = bytearray(size)
@@ -182,7 +183,7 @@ def _lex_larger_witness_columns(
             if verdict < 0:
                 continue
             if verdict > 0:
-                return _complete_to_basis(chosen + [h], k)
+                return tuple(chosen + [h])
             if t + 1 == k:
                 continue  # full tie is an automorphism, not a witness
             for m in range(base):
@@ -212,7 +213,7 @@ def lex_larger_witness(f: MultiplicityFunction) -> Gf2Matrix | None:
     cols = _lex_larger_witness_columns(f.values, f.k)
     if cols is None:
         return None
-    return Gf2Matrix.from_columns(list(cols), f.k)
+    return Gf2Matrix.from_columns(_complete_to_basis(cols, f.k), f.k)
 
 
 def is_canonical(f: MultiplicityFunction) -> bool:

@@ -132,6 +132,23 @@ def test_witness_image_is_lex_larger():
     assert w is not None
     image = tuple(f.values[transform_label(w, j)] for j in range(8))
     assert image > f.values
+    # the scan only keeps the image prefix; its completion must still work
+    cells = [(k, n, "loopless") for k in range(1, 4) for n in range(k, 7)]
+    cells += [(4, n, "simple") for n in range(4, 9)]
+    for k, n, cls in cells:
+        rejected = 0
+        for values in candidate_functions(k, n, cls):
+            f = mf(values, k)
+            w = lex_larger_witness(f)
+            if w is None:
+                continue
+            rejected += 1
+            assert w.nrows == w.ncols == k and w.rank() == k
+            image = tuple(f.values[transform_label(w, j)] for j in range(1 << k))
+            assert image > f.values
+        assert rejected == len(list(candidate_functions(k, n, cls))) - len(
+            list(generate(k, n, cls))
+        )
 
 
 def test_witness_absent_for_canonical():
