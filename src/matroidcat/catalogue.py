@@ -223,17 +223,24 @@ def run_dual_listing(
     matroid_class: str,
     out: Optional[str] = None,
     canonicalize: bool = False,
+    force: bool = False,
 ) -> list[CatalogueEntry]:
     """List rank-k entries as duals of generated rank-(n-k) representatives.
 
     The low-rank side is generated canonically, filtered by the class, and
     dualized; the emitted label vectors are sorted but generally not the
-    standard representatives, hence the dualized marker.
+    standard representatives, hence the dualized marker.  The flags of each
+    dual cost 2^k, so sizes above MAX_SIZE need force.
     """
     if k < 1 or not 1 <= n - k <= MAX_RANK:
         raise InvalidShape(
             f"dual listing needs 1 <= size - rank <= {MAX_RANK} "
             f"and rank >= 1, got rank {k}, size {n}"
+        )
+    if n > MAX_SIZE and not force:
+        raise ResourceGuard(
+            f"dual listing of size {n} exceeds the supported scale "
+            f"(size <= {MAX_SIZE}); pass --force to override"
         )
     entries = list(_pipeline(k, n, matroid_class, dualize=True))
     if canonicalize:
@@ -333,6 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     dl.add_argument("--out")
     dl.add_argument("--canonicalize", action="store_true")
+    dl.add_argument("--force", action="store_true")
 
     cnt = sub.add_parser("counts", help="print a table of class counts")
     cnt.add_argument("--max-rank", type=int, required=True)
@@ -368,6 +376,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 args.matroid_class,
                 out=args.out,
                 canonicalize=args.canonicalize,
+                force=args.force,
             )
         else:
             sys.stdout.write(

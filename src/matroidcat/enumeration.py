@@ -5,17 +5,28 @@ each nonzero vector of GF(2)^k occurs as a column.  Vectors are named by
 integer labels (coordinate j contributes 2^(j-1), so unit vectors get the
 powers of two) and an invertible matrix acts by permuting labels.  One
 multiplicity function per orbit, the lexicographically largest, is the
-canonical representative; candidates are walked in decreasing lexicographic
-order and filtered by a backtracking canonicity test, which is Read's
-orderly-generation scheme.  Canonical multiplicity functions correspond to
+canonical representative.  Canonical multiplicity functions correspond to
 lexicographically *smallest* label vectors, and come out in increasing
 label-vector order.
+
+Generation is Read's orderly scheme: candidates are filled label by label,
+in decreasing lexicographic order, and every complete candidate is
+kept only when the backtracking canonicity test finds no invertible matrix
+whose relabelling is larger.  The fill prunes whole subtrees at the
+coordinate subspaces.  On reaching label 2^t (2 <= t < k) it has fixed the
+prefix below 2^t, which is a multiplicity function on V_t = <e_1, ..., e_t>,
+and it descends only when that restriction is canonical under GL(t).  This
+is sound: a matrix g of GL(t) whose relabelling of the restriction is
+larger, extended by the identity on e_(t+1), ..., e_k, fixes V_t and
+relabels every completion of the prefix into one that is larger on the
+labels below 2^t already, so no completion is canonical.  Every candidate
+that survives the pruning still gets the full test, so the output is the
+same as that of the unpruned scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator, Sequence
 
 from .gf2 import Gf2Matrix, Gf2Vector, rank_of_labels, transform_bits
@@ -226,8 +237,17 @@ def is_canonical(f: MultiplicityFunction) -> bool:
 # -- candidate iteration and generation --------------------------------------
 
 
-def _loopless_candidates(k: int, n: int) -> Iterator[tuple[int, ...]]:
-    """All multiplicity tuples meeting the necessary conditions, largest first."""
+# The fill tests restrictions through this binding, made at import time, so a
+# wrapper later bound to _lex_larger_witness_columns (perfbench/spans.py
+# installs one) sees only the tests of complete candidates.
+_restriction_witness = _lex_larger_witness_columns
+
+
+def _orderly_candidates(k: int, n: int, top: int) -> Iterator[tuple[int, ...]]:
+    """Multiplicity tuples meeting the necessary conditions with no value
+    above top, largest first, less the subtrees whose restriction to a
+    coordinate subspace is not canonical.
+    """
     size = 1 << k
     unit_set = {1 << j for j in range(k)}
     values = [0] * size
@@ -240,6 +260,9 @@ def _loopless_candidates(k: int, n: int) -> Iterator[tuple[int, ...]]:
         if remaining < units_left or remaining > cap * (size - pos):
             return
         if pos in unit_set:
+            t = pos.bit_length() - 1
+            if t >= 2 and _restriction_witness(values[:pos], t) is not None:
+                return
             hi = min(cap, remaining - (units_left - 1))
             for v in range(hi, 0, -1):
                 values[pos] = v
@@ -251,40 +274,21 @@ def _loopless_candidates(k: int, n: int) -> Iterator[tuple[int, ...]]:
                 yield from fill(pos + 1, remaining - v, cap, units_left)
         values[pos] = 0
 
-    return fill(1, n, n, k)
-
-
-def _simple_candidates(k: int, n: int) -> Iterator[tuple[int, ...]]:
-    """Multiplicity tuples with all values 0 or 1, largest first.
-
-    With the unit labels pinned to 1, picking the remaining labels in
-    ascending combination order is exactly decreasing lexicographic order of
-    the tuples.
-    """
-    size = 1 << k
-    units = [1 << j for j in range(k)]
-    others = [v for v in range(1, size) if v not in set(units)]
-    if not k <= n <= size - 1:
-        return
-    for extra in combinations(others, n - k):
-        values = [0] * size
-        for u in units:
-            values[u] = 1
-        for e in extra:
-            values[e] = 1
-        yield tuple(values)
+    return fill(1, n, top, k)
 
 
 def candidate_functions(k: int, n: int, matroid_class: str) -> Iterator[tuple[int, ...]]:
     """Candidate multiplicity tuples for the orderly scan, largest first.
 
-    matroid_class is "loopless" or "simple"; the candidates already satisfy
-    the necessary canonicity conditions (units present and dominant).
+    matroid_class is "loopless" or "simple" (every multiplicity 0 or 1); the
+    candidates already satisfy the necessary canonicity conditions (units
+    present and dominant), and every canonical tuple of the class is among
+    them.
     """
     if matroid_class == "loopless":
-        return _loopless_candidates(k, n)
+        return _orderly_candidates(k, n, n)
     if matroid_class == "simple":
-        return _simple_candidates(k, n)
+        return _orderly_candidates(k, n, 1)
     raise ValueError(f"unknown class {matroid_class!r}")
 
 

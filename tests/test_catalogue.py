@@ -255,6 +255,19 @@ def test_cli_resource_guard_exit_code(capsys):
     assert main(["counts", "--max-rank", "8", "--max-size", "4", "--class", "loopless"]) == 3
 
 
+def test_cli_dual_listing_resource_guard(capsys, monkeypatch):
+    argv = ["dual-listing", "--rank", "15", "--size", "16", "--class", "connected-loopless"]
+    assert main(argv) == 3
+    assert "--force" in capsys.readouterr().err
+    # a lower bound keeps the forced run short
+    monkeypatch.setattr(catalogue, "MAX_SIZE", 4)
+    argv = ["dual-listing", "--rank", "4", "--size", "5", "--class", "connected-loopless"]
+    assert main(argv) == 3
+    capsys.readouterr()
+    assert main(argv + ["--force"]) == 0
+    assert capsys.readouterr().out == "k=4 n=5 r=(1,2,4,8,15) flags=LSCR dualized\n"
+
+
 def test_cli_force_override(capsys):
     code = main(
         ["generate", "--rank", "1", "--size", "16", "--class", "loopless", "--force"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -13,6 +14,7 @@ from matroidcat.enumeration import (
     LabelVector,
     MultiplicityFunction,
     SingularMatrix,
+    _lex_larger_witness_columns,
     candidate_functions,
     generate,
     is_canonical,
@@ -262,3 +264,80 @@ def test_one_representative_per_orbit_small():
                 assert len(list(generate(k, n, "simple"))) == _orbit_count(
                     k, n, simple=True
                 )
+
+
+# -- pruning against the unpruned scan ----------------------------------------
+
+
+def _reference_candidates(k: int, n: int, matroid_class: str):
+    """The scan without pruning: every tuple that meets the necessary
+    conditions, largest first (simple: unit labels pinned to 1 and the other
+    labels picked in ascending combination order)."""
+    size = 1 << k
+    units = [1 << j for j in range(k)]
+    if matroid_class == "simple":
+        if not k <= n <= size - 1:
+            return
+        others = [v for v in range(1, size) if v not in units]
+        for extra in itertools.combinations(others, n - k):
+            values = [0] * size
+            for lbl in units + list(extra):
+                values[lbl] = 1
+            yield tuple(values)
+        return
+    values = [0] * size
+
+    def fill(pos, remaining, cap, units_left):
+        if pos == size:
+            if remaining == 0:
+                yield tuple(values)
+            return
+        if remaining < units_left or remaining > cap * (size - pos):
+            return
+        if pos in units:
+            for v in range(min(cap, remaining - (units_left - 1)), 0, -1):
+                values[pos] = v
+                yield from fill(pos + 1, remaining - v, v, units_left - 1)
+        else:
+            for v in range(min(cap, remaining - units_left), -1, -1):
+                values[pos] = v
+                yield from fill(pos + 1, remaining - v, cap, units_left)
+        values[pos] = 0
+
+    yield from fill(1, n, n, k)
+
+
+REFERENCE_CELLS = [(k, n, "loopless") for k in range(1, 5) for n in range(k, 8)] + [
+    (k, n, "simple") for k in range(1, 6) for n in range(k, 10)
+]
+
+
+@functools.cache
+def _reference_scan(k: int, n: int, matroid_class: str):
+    """Candidates of the unpruned scan and the canonical ones among them."""
+    cands = tuple(_reference_candidates(k, n, matroid_class))
+    canonical = tuple(v for v in cands if _lex_larger_witness_columns(v, k) is None)
+    return cands, canonical
+
+
+def test_pruned_scan_keeps_every_canonical_tuple():
+    visited = reference = 0
+    for k, n, cls in REFERENCE_CELLS:
+        cands, canonical = _reference_scan(k, n, cls)
+        pruned = list(candidate_functions(k, n, cls))
+        rest = iter(cands)
+        assert all(values in rest for values in pruned), (k, n, cls)
+        kept = [v for v in pruned if _lex_larger_witness_columns(v, k) is None]
+        assert kept == list(canonical), (k, n, cls)
+        visited += len(pruned)
+        reference += len(cands)
+    assert visited < reference
+
+
+def test_restriction_of_canonical_tuple_is_canonical():
+    # the lemma the pruning rests on: a canonical function restricted to
+    # <e_1, ..., e_t> is canonical under GL(t)
+    for k, n, cls in REFERENCE_CELLS:
+        for values in _reference_scan(k, n, cls)[1]:
+            for t in range(2, k):
+                assert _lex_larger_witness_columns(values[: 1 << t], t) is None

@@ -53,3 +53,6 @@ def test_trace_hooks_count_every_layer():
         "tutte.calls",
     ):
         assert metrics[name] > 0, name
+    # one full canonicity test per candidate; the fill's tests of subspace
+    # restrictions are part of candidate iteration
+    assert metrics["enumeration.canonicity.calls"] == metrics["enumeration.candidates"]
