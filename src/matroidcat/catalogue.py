@@ -38,6 +38,10 @@ MATROID_CLASSES = (
 MAX_SIZE = 15
 MAX_RANK = 7
 
+# largest GL(k, 2) that brute-force canonicalization walks; exceeded from
+# rank 5 on (|GL(5, 2)| = 9,999,360)
+_BRUTEFORCE_MAX_GROUP_ORDER = 2_000_000
+
 
 class ResourceGuard(Exception):
     """Request beyond the supported scale and not forced."""
@@ -200,15 +204,21 @@ def run_generate(
     return entries
 
 
-def canonical_labels_bruteforce(
-    labels: tuple[int, ...], k: int, max_group_order: int = 2_000_000
-) -> tuple[int, ...]:
-    """Lexicographically smallest label vector in the isomorphism class."""
+def _bruteforce_guard(k: int, max_group_order: int) -> None:
     if gl_group_order(k) > max_group_order:
         raise ResourceGuard(
             f"brute-force canonicalization at rank {k} needs "
             f"{gl_group_order(k)} group elements (bound {max_group_order})"
         )
+
+
+def canonical_labels_bruteforce(
+    labels: tuple[int, ...],
+    k: int,
+    max_group_order: int = _BRUTEFORCE_MAX_GROUP_ORDER,
+) -> tuple[int, ...]:
+    """Lexicographically smallest label vector in the isomorphism class."""
+    _bruteforce_guard(k, max_group_order)
     best = tuple(sorted(labels))
     for g in gl_column_tuples(k):
         cand = tuple(sorted(transform_bits(g, c) for c in labels))
@@ -230,7 +240,9 @@ def run_dual_listing(
     The low-rank side is generated canonically, filtered by the class, and
     dualized; the emitted label vectors are sorted but generally not the
     standard representatives, hence the dualized marker.  The flags of each
-    dual cost 2^k, so sizes above MAX_SIZE need force.
+    dual cost 2^k, so sizes above MAX_SIZE need force.  Canonicalization
+    walks GL(k, 2) per entry and is refused, before any work, beyond the
+    brute-force bound.
     """
     if k < 1 or not 1 <= n - k <= MAX_RANK:
         raise InvalidShape(
@@ -242,6 +254,8 @@ def run_dual_listing(
             f"dual listing of size {n} exceeds the supported scale "
             f"(size <= {MAX_SIZE}); pass --force to override"
         )
+    if canonicalize:
+        _bruteforce_guard(k, _BRUTEFORCE_MAX_GROUP_ORDER)
     entries = list(_pipeline(k, n, matroid_class, dualize=True))
     if canonicalize:
         entries = sorted(
@@ -352,6 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     cnt.add_argument("--regular-only", action="store_true")
+    cnt.add_argument("--force", action="store_true")
 
     return parser
 
@@ -385,6 +400,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                     args.max_size,
                     args.matroid_class,
                     regular_only=args.regular_only,
+                    force=args.force,
                 )
             )
     except InvalidShape as exc:

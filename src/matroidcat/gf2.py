@@ -263,9 +263,8 @@ def solve_in_basis(basis_cols: Gf2Matrix, target: Gf2Vector) -> Gf2Vector:
     k, m = basis_cols.nrows, basis_cols.ncols
     if target.length != k:
         raise ValueError("target length must equal the number of rows")
-    if basis_cols.rank() != m:
-        raise ValueError("basis columns are not linearly independent")
-    # eliminate on rows of the augmented system (columns | target)
+    # eliminate on rows of the augmented system (columns | target); the
+    # pivot count r is the rank of the columns
     aug = [(basis_cols.rows[i], (target.bits >> i) & 1) for i in range(k)]
     coeffs = 0
     r = 0
@@ -279,6 +278,8 @@ def solve_in_basis(basis_cols: Gf2Matrix, target: Gf2Vector) -> Gf2Vector:
             if i != r and aug[i][0] & bit:
                 aug[i] = (aug[i][0] ^ aug[r][0], aug[i][1] ^ aug[r][1])
         r += 1
+    if r != m:
+        raise ValueError("basis columns are not linearly independent")
     for row, rhs in aug:
         if row == 0 and rhs:
             raise NotInSpan("target is not in the span of the basis columns")

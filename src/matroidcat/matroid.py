@@ -1,16 +1,19 @@
 """Binary matroids represented as column matroids of GF(2) matrices.
 
 A matroid here is a full-row-rank k x n matrix together with ground-set
-labels bound to the columns left to right.  Subsets of the ground set are
-plain ``frozenset[int]`` values.  Circuits are minimal supports of null-space
-vectors, cocircuits minimal supports of row-space vectors; everything else
-(hyperplanes, low-corank flats, closure, minors, duality, connectivity) is
-derived from those two families and from the pivot transform.
+labels bound to the columns left to right; the columns are read off once, at
+construction.  Subsets of the ground set are plain ``frozenset[int]``
+values.  Circuits are minimal supports of null-space vectors, cocircuits
+minimal supports of row-space vectors, hyperplanes their complements.
+Closure and rank come from spans of columns, and a flat of rank r is the
+closure of an independent set of size r.  Minors go through the pivot
+transform, connectivity through the circuits.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable
 
 from .gf2 import (
@@ -86,6 +89,7 @@ class BinaryMatroid:
         self.matrix = matrix
         self.ground = ground
         self._col_index = {e: j + 1 for j, e in enumerate(ground)}
+        self._columns = dict(zip(ground, matrix.columns()))
 
     @property
     def rank(self) -> int:
@@ -97,18 +101,12 @@ class BinaryMatroid:
 
     def column_of(self, e: int) -> int:
         """Column of element e as a bitmask over rows."""
-        return self.matrix.column_bits(self._col_index[e])
+        return self._columns[e]
 
     def _mask_to_subset(self, mask: int) -> frozenset[int]:
         return frozenset(
             self.ground[i] for i in range(self.size) if (mask >> i) & 1
         )
-
-    def _subset_to_mask(self, subset: Iterable[int]) -> int:
-        mask = 0
-        for e in subset:
-            mask |= 1 << (self._col_index[e] - 1)
-        return mask
 
     def __repr__(self) -> str:
         return f"BinaryMatroid(rank={self.rank}, size={self.size}, ground={self.ground})"
@@ -140,33 +138,18 @@ class BinaryMatroid:
         return frozenset(whole - d for d in self.cocircuits)
 
     def flats_of_corank(self, c: int) -> frozenset[frozenset[int]]:
-        """Flats of rank (rank - c), for c between 1 and 4.
-
-        Corank 1 gives the hyperplanes; each further level takes the
-        inclusion-maximal proper intersections of the previous level with
-        hyperplanes.
-        """
+        """Flats of rank (rank - c): the closures of the independent sets of
+        that size."""
         if c < 1:
             raise ValueError("corank must be at least 1")
         if c > self.rank:
             raise CorankTooLarge(f"corank {c} exceeds rank {self.rank}")
-        full = (1 << self.size) - 1
-        hyps = [full ^ self._subset_to_mask(d) for d in self.cocircuits]
-        flats = list(hyps)
-        for _ in range(c - 1):
-            seen = set()
-            for f in flats:
-                for h in hyps:
-                    x = f & h
-                    if x != f:
-                        seen.add(x)
-            # keep only inclusion-maximal intersections
-            ordered = sorted(seen, key=lambda m: bin(m).count("1"), reverse=True)
-            flats = []
-            for s in ordered:
-                if not any(s & m == s for m in flats):
-                    flats.append(s)
-        return frozenset(self._mask_to_subset(m) for m in flats)
+        size = self.rank - c
+        return frozenset(
+            self.closure(s)
+            for s in combinations(self.ground, size)
+            if self.rank_of(s) == size
+        )
 
     # -- closure, rank, simplification ------------------------------------
 

@@ -268,6 +268,29 @@ def test_cli_dual_listing_resource_guard(capsys, monkeypatch):
     assert capsys.readouterr().out == "k=4 n=5 r=(1,2,4,8,15) flags=LSCR dualized\n"
 
 
+def test_cli_counts_force(capsys):
+    argv = ["counts", "--max-rank", "8", "--max-size", "4", "--class", "loopless"]
+    assert main(argv) == 3
+    assert "--force" in capsys.readouterr().err
+    assert main(argv + ["--force"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 9
+    assert rows[-1].split() == ["k=8", "0", "0", "0", "0"]
+
+
+def test_cli_dual_listing_canonicalize_refuses_before_work(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(catalogue, "generate", no_work)
+    argv = [
+        "dual-listing", "--rank", "9", "--size", "11",
+        "--class", "connected-loopless", "--canonicalize",
+    ]
+    assert main(argv) == 3
+    assert "brute-force canonicalization at rank 9" in capsys.readouterr().err
+
+
 def test_cli_force_override(capsys):
     code = main(
         ["generate", "--rank", "1", "--size", "16", "--class", "loopless", "--force"]

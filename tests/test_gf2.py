@@ -184,6 +184,21 @@ def test_solve_in_basis_rejects_outside_span():
         solve_in_basis(basis, Gf2Vector.from_entries([0, 1]))
 
 
+def test_solve_in_basis_rejects_dependent_columns():
+    # (1,1,0) + (0,1,1) + (1,0,1) = 0, and a repeated column; each is tried
+    # with a target inside the span and one outside it, where the dependence
+    # is still what gets reported (NotInSpan is not a ValueError)
+    cases = [
+        ([0b011, 0b110, 0b101], ([1, 1, 0], [1, 0, 0])),
+        ([0b10, 0b10], ([0, 1], [1, 0])),
+    ]
+    for cols, targets in cases:
+        basis = Gf2Matrix.from_columns(cols, len(targets[0]))
+        for entries in targets:
+            with pytest.raises(ValueError, match="not linearly independent"):
+                solve_in_basis(basis, Gf2Vector.from_entries(entries))
+
+
 def test_solve_in_basis_random_round_trip():
     rng = random.Random(2718)
     for _ in range(30):

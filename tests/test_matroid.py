@@ -15,6 +15,7 @@ from conftest import (
     POLYGON_CIRCUITS,
     matroid,
 )
+from matroidcat.enumeration import generate
 from matroidcat.gf2 import Gf2Matrix
 from matroidcat.matroid import (
     BinaryMatroid,
@@ -117,6 +118,38 @@ def test_flats_of_corank_properties(polygon):
         for flat in polygon.flats_of_corank(c):
             assert polygon.closure(flat) == flat
             assert polygon.rank_of(flat) == polygon.rank - c
+
+
+def flats_by_corank_bruteforce(m):
+    """Every flat, from all 2^n subsets, keyed by corank."""
+    flats = {c: set() for c in range(1, m.rank + 1)}
+    for size in range(m.size + 1):
+        for subset in itertools.combinations(m.ground, size):
+            f = frozenset(subset)
+            if m.closure(f) == f and m.rank_of(f) < m.rank:
+                flats[m.rank - m.rank_of(f)].add(f)
+    return flats
+
+
+def test_flats_of_corank_are_all_the_flats(fano, polygon):
+    cases = [
+        from_labels(lv.labels, k)
+        for k in range(1, 5)
+        for n in range(k, 8)
+        for lv in generate(k, n, "loopless")
+    ]
+    # two loops, parallel classes {2, 3, 7} and {4, 5}, rank 3
+    cases.append(from_labels([0, 1, 1, 2, 2, 4, 1, 0], 3))
+    cases += [
+        from_labels(lv.labels, 2).dual()
+        for n in range(2, 9)
+        for lv in generate(2, n, "loopless")
+    ]
+    cases += [fano, polygon]
+    for m in cases:
+        expected = flats_by_corank_bruteforce(m)
+        for c in range(1, m.rank + 1):
+            assert m.flats_of_corank(c) == expected[c], (m, c)
 
 
 def test_flats_of_corank_bounds(fano):
