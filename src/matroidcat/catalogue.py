@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Optional
 
 from .enumeration import InvalidShape, generate
 from .gf2 import Gf2Matrix, gl_column_tuples, gl_group_order, transform_bits
-from .matroid import BinaryMatroid
+from .matroid import BRUTEFORCE_MAX_GROUP_ORDER, BinaryMatroid
 from .regularity import is_regular
 from .tutte import TuttePolynomial, tutte_by_activities
 
@@ -37,10 +37,6 @@ MATROID_CLASSES = (
 
 MAX_SIZE = 15
 MAX_RANK = 7
-
-# largest GL(k, 2) that brute-force canonicalization walks; exceeded from
-# rank 5 on (|GL(5, 2)| = 9,999,360)
-_BRUTEFORCE_MAX_GROUP_ORDER = 2_000_000
 
 
 class ResourceGuard(Exception):
@@ -204,21 +200,17 @@ def run_generate(
     return entries
 
 
-def _bruteforce_guard(k: int, max_group_order: int) -> None:
-    if gl_group_order(k) > max_group_order:
+def _bruteforce_guard(k: int) -> None:
+    if gl_group_order(k) > BRUTEFORCE_MAX_GROUP_ORDER:
         raise ResourceGuard(
-            f"brute-force canonicalization at rank {k} needs "
-            f"{gl_group_order(k)} group elements (bound {max_group_order})"
+            f"brute-force canonicalization at rank {k} needs {gl_group_order(k)} "
+            f"group elements (bound {BRUTEFORCE_MAX_GROUP_ORDER})"
         )
 
 
-def canonical_labels_bruteforce(
-    labels: tuple[int, ...],
-    k: int,
-    max_group_order: int = _BRUTEFORCE_MAX_GROUP_ORDER,
-) -> tuple[int, ...]:
+def canonical_labels_bruteforce(labels: tuple[int, ...], k: int) -> tuple[int, ...]:
     """Lexicographically smallest label vector in the isomorphism class."""
-    _bruteforce_guard(k, max_group_order)
+    _bruteforce_guard(k)
     best = tuple(sorted(labels))
     for g in gl_column_tuples(k):
         cand = tuple(sorted(transform_bits(g, c) for c in labels))
@@ -240,7 +232,8 @@ def run_dual_listing(
     The low-rank side is generated canonically, filtered by the class, and
     dualized; the emitted label vectors are sorted but generally not the
     standard representatives, hence the dualized marker.  The flags of each
-    dual cost 2^k, so sizes above MAX_SIZE need force.  Canonicalization
+    dual cost a closure per independent set in flats_of_corank, which grows
+    quickly with k, so sizes above MAX_SIZE need force.  Canonicalization
     walks GL(k, 2) per entry and is refused, before any work, beyond the
     brute-force bound.
     """
@@ -255,7 +248,7 @@ def run_dual_listing(
             f"(size <= {MAX_SIZE}); pass --force to override"
         )
     if canonicalize:
-        _bruteforce_guard(k, _BRUTEFORCE_MAX_GROUP_ORDER)
+        _bruteforce_guard(k)
     entries = list(_pipeline(k, n, matroid_class, dualize=True))
     if canonicalize:
         entries = sorted(

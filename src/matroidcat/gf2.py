@@ -5,6 +5,8 @@ coordinate ``i``, so coordinate 1 is the least significant bit.  All public
 indices (rows, columns, coordinates) are 1-based; the 0-based bit positions
 never leak out of this module.  Addition is XOR, the scalar product is the
 parity of AND.  Everything here is a pure function on immutable values.
+Hot loops skip the vector and matrix objects: ``echelon_basis`` and
+``reduce_bits`` eliminate on bare bitmasks.
 """
 
 from __future__ import annotations
@@ -300,16 +302,33 @@ def span_labels(labels: Sequence[int]) -> set[int]:
     return span
 
 
-def rank_of_labels(labels: Sequence[int]) -> int:
-    """GF(2) rank of a collection of bitmask vectors."""
+def reduce_bits(v: int, echelon: Sequence[int]) -> int:
+    """Residue of bitmask v against a basis built by ``echelon_basis``.
+
+    The residue is 0 at every leading bit of the basis: it is 0 exactly when
+    v lies in the span, and equal for two vectors exactly when they differ by
+    a vector of the span.
+    """
+    for b in echelon:
+        if v ^ b < v:
+            v ^= b
+    return v
+
+
+def echelon_basis(labels: Sequence[int]) -> list[int]:
+    """Basis of the span with distinct leading bits, in decreasing order."""
     basis: list[int] = []
     for v in labels:
-        for b in basis:
-            v = min(v, v ^ b)
+        v = reduce_bits(v, basis)
         if v:
             basis.append(v)
             basis.sort(reverse=True)
-    return len(basis)
+    return basis
+
+
+def rank_of_labels(labels: Sequence[int]) -> int:
+    """GF(2) rank of a collection of bitmask vectors."""
+    return len(echelon_basis(labels))
 
 
 def gl_group_order(k: int) -> int:

@@ -18,7 +18,6 @@ from typing import Iterable
 
 from .gf2 import (
     Gf2Matrix,
-    Gf2Vector,
     gl_column_tuples,
     gl_group_order,
     rank_of_labels,
@@ -49,6 +48,10 @@ class OracleTooLarge(MatroidError):
 
 # circuits require walking 2^(n-k) null-space vectors; refuse beyond this
 _MAX_CIRCUIT_CORANK = 20
+
+# largest GL(k, 2) that a brute-force search over it may walk; exceeded from
+# rank 5 on (|GL(5, 2)| = 9,999,360)
+BRUTEFORCE_MAX_GROUP_ORDER = 2_000_000
 
 
 def _minimal_supports(vectors: Iterable[int], max_weight: int) -> list[int]:
@@ -276,23 +279,22 @@ def _drop_bits(row: int, positions: list[int]) -> int:
     return out
 
 
-def is_isomorphic_bruteforce(
-    m1: BinaryMatroid, m2: BinaryMatroid, max_group_order: int = 2_000_000
-) -> bool:
+def is_isomorphic_bruteforce(m1: BinaryMatroid, m2: BinaryMatroid) -> bool:
     """Exhaustive isomorphism test: some invertible row transform must map
     one column multiset onto the other.
 
     Meant as a test oracle for small instances; raises OracleTooLarge when
-    the group is bigger than max_group_order.
+    the group is bigger than BRUTEFORCE_MAX_GROUP_ORDER.
     """
     if (m1.rank, m1.size) != (m2.rank, m2.size):
         return False
     k = m1.rank
     if k == 0:
         return True
-    if gl_group_order(k) > max_group_order:
+    if gl_group_order(k) > BRUTEFORCE_MAX_GROUP_ORDER:
         raise OracleTooLarge(
-            f"|GL_{k}(2)| = {gl_group_order(k)} exceeds bound {max_group_order}"
+            f"|GL_{k}(2)| = {gl_group_order(k)} exceeds bound "
+            f"{BRUTEFORCE_MAX_GROUP_ORDER}"
         )
     cols1 = [m1.column_of(e) for e in m1.ground]
     target = sorted(m2.column_of(e) for e in m2.ground)

@@ -2,16 +2,19 @@
 
 A binary matroid is regular exactly when no corank-3 flat contracts (after
 simplification) to the Fano plane and no corank-4 flat contracts to its
-dual.  Both recognizers use the column-set shortcut: among simple rank-3
-matroids only the Fano plane has all seven nonzero columns, and the dual
-case reduces to it.
+dual.  No minor is built: si(M/F) is the set of nonzero residues of the
+columns against an echelon basis of F's columns.  Seven such points at
+rank 3 are all of PG(2, 2), the Fano plane; seven at rank 4 with none the
+XOR of two others (no three on a line) are the dual Fano plane.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Literal
 
+from .gf2 import echelon_basis, reduce_bits
 from .matroid import BinaryMatroid
 
 
@@ -38,21 +41,6 @@ def is_fano_dual(m: BinaryMatroid) -> bool:
     return is_fano(simplified)
 
 
-def _greedy_spanning_subset(m: BinaryMatroid, flat: frozenset[int]) -> list[int]:
-    """Smallest-label independent subset spanning the flat."""
-    basis: list[int] = []
-    members: list[int] = []
-    for e in sorted(flat):
-        col = m.column_of(e)
-        for b in basis:
-            col = min(col, col ^ b)
-        if col:
-            basis.append(col)
-            basis.sort(reverse=True)
-            members.append(e)
-    return members
-
-
 def is_regular(m: BinaryMatroid) -> tuple[bool, FanoWitness | None]:
     """Decide regularity; on failure also return the offending flat.
 
@@ -71,12 +59,12 @@ def is_regular(m: BinaryMatroid) -> tuple[bool, FanoWitness | None]:
         for flat in sorted(m.flats_of_corank(corank), key=sorted):
             if m.size - len(flat) < 7:
                 continue
-            spanning = _greedy_spanning_subset(m, flat)
-            contracted = m.contract_independent(spanning)
-            simplified, _ = contracted.simplify()
-            if simplified.size != 7:
+            echelon = echelon_basis([m.column_of(e) for e in flat])
+            points = {reduce_bits(m.column_of(e), echelon) for e in m.ground} - {0}
+            if len(points) != 7:
                 continue
-            hit = is_fano(simplified) if kind == "fano" else is_fano_dual(simplified)
-            if hit:
+            if kind == "fano" or not any(
+                a ^ b in points for a, b in combinations(points, 2)
+            ):
                 return False, FanoWitness(flat=flat, kind=kind)
     return True, None

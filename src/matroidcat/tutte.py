@@ -11,8 +11,9 @@ second opinion; the two must agree coefficient for coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from .gf2 import Gf2Matrix, Gf2Vector, solve_in_basis
+from .gf2 import Gf2Matrix, Gf2Vector, NotInSpan, reduce_bits, solve_in_basis
 from .matroid import BinaryMatroid
 
 
@@ -88,29 +89,11 @@ def _grid_from_counts(
 
 def bases(m: BinaryMatroid) -> list[frozenset[int]]:
     """All bases, in lexicographic order of their sorted element lists."""
-    k, n = m.rank, m.size
-    cols = [m.column_of(e) for e in m.ground]
-    out: list[frozenset[int]] = []
-
-    def extend(start: int, pivots: list[int], members: list[int]) -> None:
-        if len(members) == k:
-            out.append(frozenset(members))
-            return
-        need = k - len(members)
-        for idx in range(start, n - need + 1):
-            c = cols[idx]
-            for b in pivots:
-                c = min(c, c ^ b)
-            if c:
-                pivots.append(c)
-                pivots.sort(reverse=True)
-                members.append(m.ground[idx])
-                extend(idx + 1, pivots, members)
-                members.pop()
-                pivots.remove(c)
-
-    extend(0, [], [])
-    return out
+    return [
+        frozenset(s)
+        for s in combinations(m.ground, m.rank)
+        if m.rank_of(s) == m.rank
+    ]
 
 
 def fundamental_circuit(
@@ -124,13 +107,27 @@ def fundamental_circuit(
 
 
 def external_activity(m: BinaryMatroid, basis: frozenset[int]) -> int:
-    """Count non-basis elements that top their fundamental circuit."""
+    """Count non-basis elements that top their fundamental circuit.
+
+    That circuit is x plus the unique representation of x in the basis, so x
+    tops it exactly when its column lies in the span of the basis elements
+    below x.  One pass in label order reduces each column against the basis
+    elements already passed.  Raises ValueError if the set is dependent and
+    NotInSpan if it is independent but does not span.
+    """
+    echelon: list[int] = []
     count = 0
     for x in m.ground:
+        residue = reduce_bits(m.column_of(x), echelon)
         if x in basis:
-            continue
-        if x == max(fundamental_circuit(m, basis, x)):
+            if not residue:
+                raise ValueError(f"{sorted(basis)} is dependent")
+            echelon.append(residue)
+            echelon.sort(reverse=True)
+        elif not residue:
             count += 1
+    if len(echelon) != m.rank:
+        raise NotInSpan(f"{sorted(basis)} does not span")
     return count
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from matroidcat.enumeration import generate
 from matroidcat.gf2 import Gf2Matrix
 from matroidcat.matroid import BinaryMatroid
 
@@ -93,6 +94,22 @@ POLYGON_CIRCUITS = [
 
 def matroid(rows: list[list[int]]) -> BinaryMatroid:
     return BinaryMatroid(Gf2Matrix.from_rows(rows))
+
+
+def reference_cases() -> list[BinaryMatroid]:
+    """Every loopless class with rank <= 4 and size <= 8, the Fano, dual
+    Fano, polygon and nonregular13 matroids, and the duals of all of these."""
+    primal = [
+        BinaryMatroid(Gf2Matrix.from_columns(list(lv.labels), k))
+        for k in range(1, 5)
+        for n in range(k, 9)
+        for lv in generate(k, n, "loopless")
+    ]
+    primal += [
+        matroid(rows)
+        for rows in (FANO_ROWS, FANO_DUAL_ROWS, POLYGON_ROWS, NONREGULAR_13_ROWS)
+    ]
+    return primal + [m.dual() for m in primal]
 
 
 @pytest.fixture

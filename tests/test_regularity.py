@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import FANO_ALT_ROWS, FANO_DUAL_ROWS, FANO_ROWS, matroid
+from conftest import (
+    FANO_ALT_ROWS,
+    FANO_DUAL_ROWS,
+    FANO_ROWS,
+    matroid,
+    reference_cases,
+)
 from matroidcat.gf2 import Gf2Matrix
 from matroidcat.matroid import BinaryMatroid
-from matroidcat.regularity import is_fano, is_fano_dual, is_regular
+from matroidcat.regularity import FanoWitness, is_fano, is_fano_dual, is_regular
 
 
 def from_labels(labels, k):
@@ -130,3 +136,28 @@ def test_witness_rechecks_for_both_kinds(nonregular13):
             assert is_fano(simple)
         else:
             assert is_fano_dual(simple)
+
+
+def is_regular_reference(m):
+    """The same flat scan, deciding each flat on the built minor: contract a
+    spanning subset, simplify, and ask is_fano or is_fano_dual."""
+    checks = ((3, "fano", is_fano), (4, "fano-dual", is_fano_dual))
+    for corank, kind, recognize in checks:
+        if m.rank < corank:
+            continue
+        for flat in sorted(m.flats_of_corank(corank), key=sorted):
+            if m.size - len(flat) < 7:
+                continue
+            minor = m.contract_independent(_spanning_subset(m, flat))
+            if recognize(minor.simplify()[0]):
+                return False, FanoWitness(flat=flat, kind=kind)
+    return True, None
+
+
+def test_is_regular_matches_built_minors():
+    verdicts = set()
+    for m in reference_cases():
+        expected = is_regular_reference(m)
+        assert is_regular(m) == expected, m
+        verdicts.add(expected[1].kind if expected[1] else "regular")
+    assert verdicts == {"fano", "fano-dual", "regular"}

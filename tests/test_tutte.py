@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from conftest import FANO_ROWS, matroid
-from matroidcat.gf2 import Gf2Matrix
+from conftest import FANO_ROWS, matroid, reference_cases
+from matroidcat.gf2 import Gf2Matrix, NotInSpan
 from matroidcat.matroid import BinaryMatroid
 from matroidcat.tutte import (
     TuttePolynomial,
@@ -71,6 +71,31 @@ def test_fundamental_circuit_is_a_circuit(polygon):
             c = fundamental_circuit(polygon, b, x)
             assert c in polygon.circuits
             assert x in c
+
+
+def external_activity_reference(m, basis):
+    """Non-basis elements that are the maximum of their fundamental circuit,
+    each circuit solved for on its own."""
+    return sum(
+        1
+        for x in m.ground
+        if x not in basis and x == max(fundamental_circuit(m, basis, x))
+    )
+
+
+def test_external_activity_matches_fundamental_circuits():
+    for m in reference_cases():
+        for b in bases(m):
+            assert external_activity(m, b) == external_activity_reference(m, b), (m, b)
+
+
+def test_external_activity_refuses_non_bases(polygon):
+    # {1, 2, 6} is a circuit; {1, 2, 3} is independent of rank 3 < 5
+    for dependent in ({1, 2, 6}, {1, 2, 3, 4, 6}):
+        with pytest.raises(ValueError):
+            external_activity(polygon, frozenset(dependent))
+    with pytest.raises(NotInSpan):
+        external_activity(polygon, frozenset({1, 2, 3}))
 
 
 def test_external_activity_parallel_pair():
