@@ -106,22 +106,30 @@ def matroid_of_labels(labels: Iterable[int], k: int) -> BinaryMatroid:
     return BinaryMatroid(Gf2Matrix.from_columns(list(labels), k))
 
 
-def compute_flags(m: BinaryMatroid, connected: Optional[bool] = None) -> str:
+def compute_flags(
+    m: BinaryMatroid,
+    connected: Optional[bool] = None,
+    dual: Optional[BinaryMatroid] = None,
+) -> str:
     """Recompute the L, S, C, R properties from scratch.
 
-    connected, when given, is the already known connectivity of m or of its
-    dual (the same property once m has two or more elements).
+    L and S are read off m's columns.  Connectivity (for two or more
+    elements) and regularity are invariant under duality, so when m's dual
+    is given, C and R are decided on it instead: dual-listing passes the
+    generated side, whose low rank keeps both checks cheap.  connected, when
+    given, is the already known connectivity of m or of its dual.
     """
     cols = [m.column_of(e) for e in m.ground]
+    side = m if dual is None else dual
     flags = ""
     loopless = all(cols)
     if loopless:
         flags += "L"
     if loopless and len(set(cols)) == len(cols):
         flags += "S"
-    if m.is_connected() if connected is None else connected:
+    if side.is_connected() if connected is None else connected:
         flags += "C"
-    if is_regular(m)[0]:
+    if is_regular(side)[0]:
         flags += "R"
     return flags
 
@@ -137,7 +145,7 @@ def _split_class(matroid_class: str) -> tuple[str, bool]:
 def _guard(k: int, n: int, force: bool) -> None:
     if (n > MAX_SIZE or k > MAX_RANK) and not force:
         raise ResourceGuard(
-            f"rank {k}, size {n} exceeds the supported scale "
+            f"a scan of rank {k}, size {n} exceeds the supported scale "
             f"(rank <= {MAX_RANK}, size <= {MAX_SIZE}); pass --force to override"
         )
 
@@ -155,26 +163,31 @@ def _pipeline(
     candidate -> canonical -> matroid -> flags -> class filters -> Tutte.
 
     With dualize, the canonical side has rank n - k; representatives that
-    pass the connectivity filter are dualized before their flags and Tutte
-    polynomial are computed.  Without flags, the matroid is built only for a
-    filter, only the properties the filters need are computed, and entries
-    carry no flags.
+    pass the connectivity filter are dualized, and the duals' columns give
+    the labels, L, S and the Tutte polynomial.  C and R, invariant under
+    duality, are decided on the generated side.  Without flags, the matroid
+    is built only for a filter, only the properties the filters need are
+    computed, and entries carry no flags.
     """
     base, need_connected = _split_class(matroid_class)
     side = n - k if dualize else k
     for lv in generate(side, n, base):
         labels, letters, tutte = lv.labels, "", None
         if with_flags or need_connected or regular_only:
-            m = matroid_of_labels(labels, side)
-            if need_connected and not m.is_connected():
+            m = generated = matroid_of_labels(labels, side)
+            if need_connected and not generated.is_connected():
                 continue
             if dualize:
-                m = m.dual()
+                m = generated.dual()
                 labels = tuple(sorted(m.matrix.columns()))
             if with_flags:
-                letters = compute_flags(m, True if need_connected else None)
+                letters = compute_flags(
+                    m,
+                    True if need_connected else None,
+                    generated if dualize else None,
+                )
             if regular_only and not (
-                "R" in letters if with_flags else is_regular(m)[0]
+                "R" in letters if with_flags else is_regular(generated)[0]
             ):
                 continue
             if with_tutte:
@@ -231,22 +244,19 @@ def run_dual_listing(
 
     The low-rank side is generated canonically, filtered by the class, and
     dualized; the emitted label vectors are sorted but generally not the
-    standard representatives, hence the dualized marker.  The flags of each
-    dual cost a closure per independent set in flats_of_corank, which grows
-    quickly with k, so sizes above MAX_SIZE need force.  Canonicalization
-    walks GL(k, 2) per entry and is refused, before any work, beyond the
-    brute-force bound.
+    standard representatives, hence the dualized marker.  Connectivity and
+    regularity are decided on the generated side, and L and S read off the
+    duals' columns, so no flat of a rank-k dual is built.  The cost is that
+    of generating the rank-(n-k) side, which the same guard as generate's
+    bounds.  Canonicalization walks GL(k, 2) per entry and is refused,
+    before any work, beyond the brute-force bound.
     """
     if k < 1 or not 1 <= n - k <= MAX_RANK:
         raise InvalidShape(
             f"dual listing needs 1 <= size - rank <= {MAX_RANK} "
             f"and rank >= 1, got rank {k}, size {n}"
         )
-    if n > MAX_SIZE and not force:
-        raise ResourceGuard(
-            f"dual listing of size {n} exceeds the supported scale "
-            f"(size <= {MAX_SIZE}); pass --force to override"
-        )
+    _guard(n - k, n, force)
     if canonicalize:
         _bruteforce_guard(k)
     entries = list(_pipeline(k, n, matroid_class, dualize=True))

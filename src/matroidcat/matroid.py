@@ -7,7 +7,8 @@ values.  Circuits are minimal supports of null-space vectors, cocircuits
 minimal supports of row-space vectors, hyperplanes their complements.
 Closure and rank come from spans of columns, and a flat of rank r is the
 closure of an independent set of size r.  Minors go through the pivot
-transform, connectivity through the circuits.
+transform, connectivity through the circuits or the cocircuits, whichever
+span is smaller.
 """
 
 from __future__ import annotations
@@ -244,13 +245,21 @@ class BinaryMatroid:
 
     def is_connected(self) -> bool:
         """Single element: not a loop.  Otherwise: the relation "lies in a
-        common circuit" must link the whole ground set."""
+        common circuit" must link the whole ground set.
+
+        A matroid and its dual have the same components, so the cocircuits
+        serve as well; the family walked is the one from the smaller span,
+        2^min(rank, corank) vectors.
+        """
         if self.size == 0:
             return False
         if self.size == 1:
             return self.column_of(self.ground[0]) != 0
         component = {self.ground[0]}
-        pending = list(self.circuits)
+        if self.rank < self.size - self.rank:
+            pending = list(self.cocircuits)
+        else:
+            pending = list(self.circuits)
         grew = True
         while grew:
             grew = False

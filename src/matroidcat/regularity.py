@@ -6,6 +6,14 @@ dual.  No minor is built: si(M/F) is the set of nonzero residues of the
 columns against an echelon basis of F's columns.  Seven such points at
 rank 3 are all of PG(2, 2), the Fano plane; seven at rank 4 with none the
 XOR of two others (no three on a line) are the dual Fano plane.
+
+A family is only built when it can hold a flat with seven survivors.  A
+flat of corank c has rank (rank - c), hence at least that many elements, so
+at most (size - rank) + c elements survive its contraction.  The Fano family
+(c = 3) therefore needs size - rank >= 4 and the dual Fano family (c = 4)
+needs size - rank >= 3, besides rank >= c.  Regularity is invariant under
+duality, and these bounds make the dual of a matroid of rank at most 2
+regular without building a single flat.
 """
 
 from __future__ import annotations
@@ -46,15 +54,15 @@ def is_regular(m: BinaryMatroid) -> tuple[bool, FanoWitness | None]:
 
     Flats are scanned in ascending order of their sorted element tuples, the
     corank-3 family before the corank-4 one, so the witness is deterministic.
-    A contraction is only inspected when enough elements survive for a
-    seven-point simplification.
+    A family is only built, and a contraction only inspected, when enough
+    elements can survive for a seven-point simplification.
     """
     checks: list[tuple[int, Literal["fano", "fano-dual"]]] = [
         (3, "fano"),
         (4, "fano-dual"),
     ]
     for corank, kind in checks:
-        if m.rank < corank:
+        if m.rank < corank or m.size - m.rank + corank < 7:
             continue
         for flat in sorted(m.flats_of_corank(corank), key=sorted):
             if m.size - len(flat) < 7:

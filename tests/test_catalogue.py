@@ -17,6 +17,7 @@ from matroidcat.catalogue import (
     run_dual_listing,
     run_generate,
 )
+from matroidcat.matroid import BinaryMatroid
 from matroidcat.tutte import TuttePolynomial
 
 RANK3_SIZE4_LINES = [
@@ -163,6 +164,41 @@ def test_dual_listing_matches_primal_side():
         assert "L" in d.flags and "C" in d.flags
 
 
+def test_dual_listing_flags_match_direct_flags():
+    # C and R come from the generated side, L and S from the duals' columns
+    flags = set()
+    for k, n, matroid_class in (
+        (4, 7, "loopless"),
+        (5, 9, "loopless"),
+        (5, 9, "simple"),
+        (6, 10, "connected-loopless"),
+    ):
+        for e in run_dual_listing(k, n, matroid_class, out="/dev/null"):
+            assert e.flags == compute_flags(matroid_of_labels(e.labels, k)), e
+            flags.add(e.flags)
+    assert any("R" not in f for f in flags)
+    assert any("C" not in f for f in flags)
+
+
+def test_dual_listing_builds_no_flats(capsys, monkeypatch):
+    def no_flats(*args, **kwargs):
+        raise AssertionError("flats were built")
+
+    monkeypatch.setattr(BinaryMatroid, "flats_of_corank", no_flats)
+    argv = ["dual-listing", "--rank", "11", "--size", "13", "--class", "connected-loopless"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 14
+    assert lines[0] == (
+        "k=11 n=13 r=(1,2,4,8,16,32,64,128,256,512,1024,1024,2047) flags=LCR dualized"
+    )
+    assert all(line.endswith(" flags=LSCR dualized") for line in lines[1:])
+    argv = ["dual-listing", "--rank", "17", "--size", "18", "--class", "connected-loopless"]
+    assert main(argv + ["--force"]) == 0
+    labels = ",".join(str(1 << j) for j in range(17)) + f",{(1 << 17) - 1}"
+    assert capsys.readouterr().out == f"k=17 n=18 r=({labels}) flags=LSCR dualized\n"
+
+
 def test_dual_listing_canonicalize_recovers_standard_representatives():
     canon = run_dual_listing(
         3, 5, "connected-loopless", out="/dev/null", canonicalize=True
@@ -306,7 +342,7 @@ def test_cli_rejects_unknown_class(capsys):
 
 def test_cli_internal_value_error_propagates(monkeypatch):
     # only usage errors become exit codes; a bug inside the pipeline surfaces
-    def broken(m, connected=None):
+    def broken(*args, **kwargs):
         raise ValueError("internal bug")
 
     monkeypatch.setattr(catalogue, "compute_flags", broken)

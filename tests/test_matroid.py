@@ -14,6 +14,7 @@ from conftest import (
     FANO_ROWS,
     POLYGON_CIRCUITS,
     matroid,
+    reference_cases,
 )
 from matroidcat.enumeration import generate
 from matroidcat.gf2 import Gf2Matrix
@@ -294,6 +295,28 @@ def test_is_connected_with_coloop(polygon):
     rows = [row + [0] for row in polygon.matrix.entries()]
     rows.append([0] * polygon.size + [1])
     assert not BinaryMatroid(Gf2Matrix.from_rows(rows)).is_connected()
+
+
+def test_is_connected_agrees_on_both_sides():
+    def linked_by_circuits(m):
+        component = {m.ground[0]}
+        grew = True
+        while grew:
+            grew = False
+            for c in m.circuits:
+                if c & component and not c <= component:
+                    component |= c
+                    grew = True
+        return component == set(m.ground)
+
+    walked = set()
+    for m in reference_cases():
+        if m.size < 2:
+            continue
+        assert m.is_connected() == m.dual().is_connected() == linked_by_circuits(m), m
+        walked.add(m.rank < m.size - m.rank)
+    # both families are walked: cocircuits below the middle rank, circuits above
+    assert walked == {True, False}
 
 
 def test_isomorphic_fano_representations():

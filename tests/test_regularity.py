@@ -161,3 +161,19 @@ def test_is_regular_matches_built_minors():
         assert is_regular(m) == expected, m
         verdicts.add(expected[1].kind if expected[1] else "regular")
     assert verdicts == {"fano", "fano-dual", "regular"}
+
+
+def test_is_regular_builds_no_family_without_seven_survivors(monkeypatch):
+    # a corank-c flat keeps at most (size - rank) + c elements outside it
+    built = []
+    flats_of_corank = BinaryMatroid.flats_of_corank
+
+    def recording(m, c):
+        built.append((m.size - m.rank + c, c))
+        return flats_of_corank(m, c)
+
+    monkeypatch.setattr(BinaryMatroid, "flats_of_corank", recording)
+    for m in reference_cases():
+        is_regular(m)
+    assert all(survivors >= 7 for survivors, _ in built)
+    assert {c for _, c in built} == {3, 4}
