@@ -18,6 +18,7 @@ Output is deterministic: byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -322,7 +323,10 @@ def _write_entries(entries: list[CatalogueEntry], out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and then reused:
+    parse_args starts every call from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="matroidcat",
         description="Catalogue of small binary matroids: generation, "
@@ -375,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "generate":
             run_generate(

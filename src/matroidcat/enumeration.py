@@ -22,12 +22,24 @@ relabels every completion of the prefix into one that is larger on the
 labels below 2^t already, so no completion is canonical.  Every candidate
 that survives the pruning still gets the full test, so the output is the
 same as that of the unpruned scan.
+
+The canonicity test searches the tie tree of partial matrices depth first,
+and its first path is the identity, so every other full tie it reaches is
+an automorphism.  It uses them as nauty does (McKay 1981; McKay and Piperno
+2014).  An automorphism found below a child h of the first-path node
+(e_1, ..., e_t) maps the already searched first-path child onto h, so the
+search jumps back to that node and tries h's next sibling; and a sibling in
+the orbit of an earlier child, under the automorphisms found so far (all
+of which fix e_1, ..., e_t), is skipped.  An automorphism maps a subtree
+onto a subtree with the same comparisons, so the skipped subtrees hold no
+witness, and the test returns exactly what the exhaustive search returns:
+None, or the same witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .gf2 import Gf2Matrix, Gf2Vector, rank_of_labels, transform_bits
 
@@ -171,17 +183,45 @@ def _lex_larger_witness_columns(
     matter how the matrix is completed, a smaller one prunes the whole
     subtree, and only exact ties recurse.  The returned images are therefore
     independent, and every completion of them to a basis is a witness.
+
+    The first path of the depth-first search is the identity.  Its images
+    tie by definition, so it is taken without a comparison, and the search
+    backs up it: at each level t, from the bottom, it tries the other
+    children h of the first-path node (e_1, ..., e_t) in increasing order.
+    Below such an h, a full tie is an automorphism a of values with
+    a(e_i) = chosen_i, and an automorphism maps a subtree onto a subtree
+    with every comparison unchanged.  Two rules use that:
+
+    * jump: a fixes e_1, ..., e_t and maps the searched first-path child
+      (e_1, ..., e_(t+1)) onto (e_1, ..., e_t, h), so the rest of h's
+      subtree is skipped and the next sibling is tried;
+    * orbits: every automorphism found so far lies below (e_1, ..., e_t)
+      and so fixes e_1, ..., e_t; a sibling that is not the least label of
+      its orbit under them has the verdict and the subtree of a child tried
+      before it, and is skipped.
+
+    Neither rule skips a witness, and the children are still tried in the
+    same order, so the first witness found, or None, is that of the
+    exhaustive search.
     """
     size = 1 << k
+    half = size >> 1
+    # the first path down to its last level: e_1, ..., e_(k-1) span the
+    # labels below half, and each image is its own label
     in_span = bytearray(size)
-    in_span[0] = 1
-    span_list = [0]
-    images = [0] * size
-    chosen: list[int] = []
+    in_span[:half] = b"\x01" * half
+    span_list = list(range(half))
+    images = list(range(size))
+    chosen = [1 << i for i in range(k - 1)]
+    # orbit[x] leads to the least label of x's orbit under the automorphisms
+    # found so far
+    orbit = list(range(size))
+    every_label = range(1, size)
 
-    def search(t: int) -> tuple[int, ...] | None:
+    def search(t: int, labels: Iterable[int]) -> tuple[int, ...] | None:
+        # a witness; () once a full tie (an automorphism) is found; or None
         base = 1 << t
-        for h in range(1, size):
+        for h in labels:
             if in_span[h]:
                 continue
             verdict = 0
@@ -195,16 +235,22 @@ def _lex_larger_witness_columns(
                 continue
             if verdict > 0:
                 return tuple(chosen + [h])
-            if t + 1 == k:
-                continue  # full tie is an automorphism, not a witness
             for m in range(base):
                 images[base + m] = h ^ images[m]
+            if t + 1 == k:  # an automorphism: merge its orbits, then jump
+                for x, y in enumerate(images):
+                    while orbit[x] != x:
+                        x = orbit[x]
+                    while orbit[y] != y:
+                        y = orbit[y]
+                    orbit[max(x, y)] = min(x, y)
+                return ()
             added = [h ^ x for x in span_list]
             for a in added:
                 in_span[a] = 1
             span_list.extend(added)
             chosen.append(h)
-            hit = search(t + 1)
+            hit = search(t + 1, every_label)
             if hit is not None:
                 return hit
             chosen.pop()
@@ -213,7 +259,22 @@ def _lex_larger_witness_columns(
                 in_span[a] = 0
         return None
 
-    return search(0)
+    # back up the first path, trying the siblings of its identity children
+    for t in range(k - 1, -1, -1):
+        base = 1 << t
+        # one iterator, resumed after each automorphism; the orbits are read
+        # lazily, as they grow while the siblings are searched
+        siblings = (h for h in range(base + 1, size) if orbit[h] == h)
+        hit: tuple[int, ...] | None = ()
+        while hit == ():
+            for a in span_list[base:]:
+                in_span[a] = 0
+            del span_list[base:]
+            del chosen[t:]
+            hit = search(t, siblings)
+        if hit is not None:
+            return hit
+    return None
 
 
 def lex_larger_witness(f: MultiplicityFunction) -> Gf2Matrix | None:

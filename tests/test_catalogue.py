@@ -348,3 +348,19 @@ def test_cli_internal_value_error_propagates(monkeypatch):
     monkeypatch.setattr(catalogue, "compute_flags", broken)
     with pytest.raises(ValueError, match="internal bug"):
         main(["generate", "--rank", "3", "--size", "4", "--class", "loopless"])
+
+
+def test_cli_calls_share_one_parser_and_no_flags(capsys):
+    # the parser is built once per process; every call starts from defaults
+    cell = ["--rank", "3", "--size", "7", "--class", "loopless"]
+    assert main(["generate", *cell, "--regular-only", "--tutte"]) == 0
+    assert main(["generate", *cell]) == 0
+    assert main(["counts", "--max-rank", "3", "--max-size", "7", "--class", "loopless"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    first = lines_of(
+        run_generate(3, 7, "loopless", regular_only=True, with_tutte=True, out="/dev/null")
+    )
+    second = lines_of(run_generate(3, 7, "loopless", out="/dev/null"))
+    assert out == first + second + run_counts(3, 7, "loopless").splitlines()
+    assert len(first) < len(second) and "tutte=" not in "".join(second)
+    assert catalogue._parser() is catalogue._parser()
