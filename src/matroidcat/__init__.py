@@ -8,6 +8,7 @@ contraction cross-check.
 from .catalogue import (
     CatalogueEntry,
     ResourceGuard,
+    UnwritableOutput,
     matroid_of_labels,
     run_counts,
     run_dual_listing,
@@ -69,6 +70,7 @@ __all__ = [
     "ResourceGuard",
     "SingularMatrix",
     "TuttePolynomial",
+    "UnwritableOutput",
     "bases",
     "external_activity",
     "fundamental_circuit",

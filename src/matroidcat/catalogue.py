@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -42,6 +43,10 @@ MAX_RANK = 7
 
 class ResourceGuard(Exception):
     """Request beyond the supported scale and not forced."""
+
+
+class UnwritableOutput(Exception):
+    """The output file cannot be opened for writing."""
 
 
 @dataclass(frozen=True)
@@ -151,6 +156,23 @@ def _guard(k: int, n: int, force: bool) -> None:
         )
 
 
+def _check_out(out: Optional[str]) -> None:
+    """Refuse, before any work, an output path that cannot be written: an
+    existing file must be writable, and a new one needs a writable directory.
+    The file is neither created nor truncated here."""
+    if out is None:
+        return
+    if not os.path.basename(out) or os.path.isdir(out):
+        raise UnwritableOutput(f"output {out!r} names no file")
+    if os.path.exists(out):
+        writable = os.access(out, os.W_OK)
+    else:
+        directory = os.path.dirname(out) or "."
+        writable = os.path.isdir(directory) and os.access(directory, os.W_OK | os.X_OK)
+    if not writable:
+        raise UnwritableOutput(f"cannot write output {out!r}")
+
+
 def _pipeline(
     k: int,
     n: int,
@@ -209,6 +231,7 @@ def run_generate(
     if not 1 <= k <= n:
         raise InvalidShape(f"need 1 <= rank <= size, got rank {k}, size {n}")
     _guard(k, n, force)
+    _check_out(out)
     entries = list(_pipeline(k, n, matroid_class, regular_only, with_tutte))
     _write_entries(entries, out)
     return entries
@@ -260,6 +283,7 @@ def run_dual_listing(
     _guard(n - k, n, force)
     if canonicalize:
         _bruteforce_guard(k)
+    _check_out(out)
     entries = list(_pipeline(k, n, matroid_class, dualize=True))
     if canonicalize:
         entries = sorted(
@@ -410,7 +434,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                     force=args.force,
                 )
             )
-    except InvalidShape as exc:
+    except (InvalidShape, UnwritableOutput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceGuard as exc:

@@ -23,6 +23,20 @@ labels below 2^t already, so no completion is canonical.  Every candidate
 that survives the pruning still gets the full test, so the output is the
 same as that of the unpruned scan.
 
+The fill also backjumps on the witness of every rejection, of a complete
+candidate or of a restriction (the pruning by certificate of McKay,
+"Isomorph-free exhaustive generation", 1998).  The witness's leading
+columns c_1, ..., c_s fix the relabelling g on the labels below 2^s, and the
+comparison that rejects the candidate reads its values only at x and g(x)
+for the labels x up to the first one where the relabelled function is
+larger.  Call the largest label read the reach.  Every candidate that
+agrees with the rejected one up to the reach is rejected by the same g (a
+restriction's reach lies below 2^t, and there the subspace argument above
+applies), and in the fill's order these candidates are exactly the rest of
+the subtree below that prefix.  So the fill resumes with the next value at
+the reach and skips only non-canonical candidates: the output is still
+that of the unpruned scan, in the same order.
+
 The canonicity test searches the tie tree of partial matrices depth first,
 and its first path is the identity, so every other full tie it reaches is
 an automorphism.  It uses them as nauty does (McKay 1981; McKay and Piperno
@@ -304,61 +318,129 @@ def is_canonical(f: MultiplicityFunction) -> bool:
 _restriction_witness = _lex_larger_witness_columns
 
 
-def _orderly_candidates(k: int, n: int, top: int) -> Iterator[tuple[int, ...]]:
+def _witness_reach(values: Sequence[int], cols: Sequence[int]) -> int:
+    """The largest label on which the rejection of values by the witness
+    with leading columns cols depends.
+
+    The columns c_1, ..., c_s fix the relabelling g on the labels below 2^s.
+    The relabelled function ties with values on every label before the first
+    label x0 where the two differ, and is larger there.  That comparison
+    reads values only at x and g(x) for x <= x0, so any function that agrees
+    with values on the labels up to the returned one, max(x, g(x)) over
+    x <= x0, is rejected by every completion of the same columns.
+    """
+    images = [0]
+    for c in cols:
+        images += [c ^ x for x in images]
+    reach = 0
+    for x, gx in enumerate(images):
+        reach = max(reach, x, gx)
+        if values[gx] != values[x]:
+            return reach
+    raise ValueError("cols do not relabel values into a larger function")
+
+
+def _orderly_candidates(
+    k: int,
+    n: int,
+    top: int,
+    witness: list[tuple[int, ...] | None] | None = None,
+) -> Iterator[tuple[int, ...]]:
     """Multiplicity tuples meeting the necessary conditions with no value
     above top, largest first, less the subtrees whose restriction to a
     coordinate subspace is not canonical.
+
+    A restriction rejected at 2^t is not only pruned: every prefix that
+    agrees with it up to the reach of its witness (see _witness_reach), a
+    label below 2^t, has a restriction rejected by the same relabelling, so
+    the fill resumes with the next value at the reach.
+
+    When witness is given, the consumer reports the test of each yielded
+    tuple in witness[0] before drawing the next one: the columns of a
+    witness, or None.  The fill backjumps on a rejected tuple too.  Every
+    tuple that agrees with it on the labels up to its reach is rejected by
+    the same relabelling, and in the fill's order these tuples are exactly
+    the rest of the subtree below the prefix that ends at the reach, so the
+    fill resumes with the next value at the reach.  The fill is one loop
+    over an explicit stack, so a jump unwinds any number of labels at once.
     """
     size = 1 << k
-    unit_set = {1 << j for j in range(k)}
     values = [0] * size
-
-    def fill(pos: int, remaining: int, cap: int, units_left: int) -> Iterator[tuple[int, ...]]:
-        if pos == size:
-            if remaining == 0:
-                yield tuple(values)
-            return
-        if remaining < units_left or remaining > cap * (size - pos):
-            return
-        if pos in unit_set:
-            t = pos.bit_length() - 1
-            if t >= 2 and _restriction_witness(values[:pos], t) is not None:
-                return
-            hi = min(cap, remaining - (units_left - 1))
-            for v in range(hi, 0, -1):
-                values[pos] = v
-                yield from fill(pos + 1, remaining - v, v, units_left - 1)
+    least = [0] * size  # the least value at each label: 1 at the units
+    for j in range(k):
+        least[1 << j] = 1
+    # on entering each label: the sum still to place, the cap on its value
+    # (the value of the last unit label) and the unit labels still to fill
+    left = [n] * (size + 1)
+    caps = [top] * (size + 1)
+    units = [k] * (size + 1)
+    pos = 1
+    while True:
+        r, c, u = left[pos], caps[pos], units[pos]
+        # back is the label whose value is lowered next; pos itself when
+        # the fill descends with pos's largest value
+        if r < u or r > c * (size - pos):
+            back = pos - 1
+        elif pos == size:
+            yield tuple(values)
+            cols = None if witness is None else witness[0]
+            back = pos - 1 if cols is None else _witness_reach(values, cols)
         else:
-            hi = min(cap, remaining - units_left)
-            for v in range(hi, -1, -1):
-                values[pos] = v
-                yield from fill(pos + 1, remaining - v, cap, units_left)
-        values[pos] = 0
+            cols = None
+            if least[pos] and pos >= 4:
+                cols = _restriction_witness(values[:pos], pos.bit_length() - 1)
+            if cols is None:
+                # the largest value that leaves 1 for every later unit label
+                values[pos] = min(c, r - u + least[pos])
+                back = pos
+            else:
+                back = _witness_reach(values, cols)
+        if back < pos:
+            while back and values[back] == least[back]:
+                back -= 1
+            if not back:
+                return
+            values[back] -= 1
+            pos = back
+        v = values[pos]
+        left[pos + 1] = left[pos] - v
+        caps[pos + 1] = v if least[pos] else caps[pos]
+        units[pos + 1] = units[pos] - least[pos]
+        pos += 1
 
-    return fill(1, n, top, k)
 
-
-def candidate_functions(k: int, n: int, matroid_class: str) -> Iterator[tuple[int, ...]]:
+def candidate_functions(
+    k: int,
+    n: int,
+    matroid_class: str,
+    witness: list[tuple[int, ...] | None] | None = None,
+) -> Iterator[tuple[int, ...]]:
     """Candidate multiplicity tuples for the orderly scan, largest first.
 
     matroid_class is "loopless" or "simple" (every multiplicity 0 or 1); the
     candidates already satisfy the necessary canonicity conditions (units
     present and dominant), and every canonical tuple of the class is among
-    them.
+    them.  witness, when given, is the one-slot list through which the
+    consumer reports each candidate's witness, so that the scan backjumps
+    over the candidates the same relabelling rejects (see
+    _orderly_candidates).
     """
     if matroid_class == "loopless":
-        return _orderly_candidates(k, n, n)
+        return _orderly_candidates(k, n, n, witness)
     if matroid_class == "simple":
-        return _orderly_candidates(k, n, 1)
+        return _orderly_candidates(k, n, 1, witness)
     raise ValueError(f"unknown class {matroid_class!r}")
 
 
 def generate(k: int, n: int, matroid_class: str = "loopless") -> Iterator[LabelVector]:
     """One label vector per isomorphism class, in increasing lexicographic
-    order; each is the smallest label vector of its class.
+    order; each is the smallest label vector of its class.  The witness of
+    each rejected candidate goes back to the fill, which backjumps on it.
     """
     if not 1 <= k <= n:
         raise InvalidShape(f"need 1 <= rank <= size, got rank {k}, size {n}")
-    for values in candidate_functions(k, n, matroid_class):
-        if _lex_larger_witness_columns(values, k) is None:
+    witness: list[tuple[int, ...] | None] = [None]
+    for values in candidate_functions(k, n, matroid_class, witness):
+        witness[0] = _lex_larger_witness_columns(values, k)
+        if witness[0] is None:
             yield label_vector_of(MultiplicityFunction(values, k))

@@ -5,10 +5,11 @@ labels bound to the columns left to right; the columns are read off once, at
 construction.  Subsets of the ground set are plain ``frozenset[int]``
 values.  Circuits are minimal supports of null-space vectors, cocircuits
 minimal supports of row-space vectors, hyperplanes their complements.
-Closure and rank come from spans of columns, and a flat of rank r is the
-closure of an independent set of size r.  Minors go through the pivot
-transform, connectivity through the circuits or the cocircuits, whichever
-span is smaller.
+Rank and closure come from one echelon basis of the columns: its length is
+the rank, and a column lies in the closure when it reduces to 0 against it.
+A flat of rank r is the closure of an independent set of size r.  Minors go
+through the pivot transform, connectivity through the circuits or the
+cocircuits, whichever span is smaller.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ from typing import Iterable
 
 from .gf2 import (
     Gf2Matrix,
+    echelon_basis,
     gl_column_tuples,
     gl_group_order,
     rank_of_labels,
+    reduce_bits,
     span_labels,
     transform_bits,
 )
@@ -149,11 +152,13 @@ class BinaryMatroid:
         if c > self.rank:
             raise CorankTooLarge(f"corank {c} exceeds rank {self.rank}")
         size = self.rank - c
-        return frozenset(
-            self.closure(s)
-            for s in combinations(self.ground, size)
-            if self.rank_of(s) == size
-        )
+        columns = self._columns
+        flats = set()
+        for s in combinations(self.ground, size):
+            echelon = echelon_basis([columns[e] for e in s])
+            if len(echelon) == size:
+                flats.add(self._spanned_by(echelon))
+        return frozenset(flats)
 
     # -- closure, rank, simplification ------------------------------------
 
@@ -162,8 +167,13 @@ class BinaryMatroid:
 
     def closure(self, subset: Iterable[int]) -> frozenset[int]:
         """All elements whose columns lie in the span of the subset's columns."""
-        span = span_labels([self.column_of(e) for e in subset])
-        return frozenset(e for e in self.ground if self.column_of(e) in span)
+        return self._spanned_by(echelon_basis([self.column_of(e) for e in subset]))
+
+    def _spanned_by(self, echelon: list[int]) -> frozenset[int]:
+        """Elements whose columns reduce to 0 against an echelon basis."""
+        return frozenset(
+            e for e, col in self._columns.items() if not reduce_bits(col, echelon)
+        )
 
     def loops(self) -> frozenset[int]:
         return frozenset(e for e in self.ground if self.column_of(e) == 0)

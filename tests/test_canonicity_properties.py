@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from matroidcat.enumeration import (
     MultiplicityFunction,
+    _complete_to_basis,
+    _lex_larger_witness_columns,
+    _witness_reach,
     is_canonical,
     lex_larger_witness,
     transform_label,
@@ -27,8 +30,8 @@ def _relabellings(k: int):
 
 
 @st.composite
-def spanning_functions(draw):
-    k = draw(st.integers(1, 4))
+def spanning_functions(draw, max_k=4):
+    k = draw(st.integers(1, max_k))
     labels = draw(st.lists(st.integers(1, (1 << k) - 1), min_size=k, max_size=8))
     assume(rank_of_labels(set(labels)) == k)
     values = [0] * (1 << k)
@@ -47,3 +50,19 @@ def test_canonical_exactly_when_orbit_maximum(f):
     if w is not None:
         image = tuple(f.values[transform_label(w, j)] for j in range(1 << f.k))
         assert image > f.values
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(spanning_functions(max_k=5), st.data())
+def test_witness_rejects_every_function_that_agrees_up_to_its_reach(f, data):
+    # the lemma the scan's backjumping rests on
+    cols = _lex_larger_witness_columns(f.values, f.k)
+    assume(cols is not None)
+    reach = _witness_reach(f.values, cols)
+    size = 1 << f.k
+    tail = data.draw(
+        st.lists(st.integers(0, 3), min_size=size - 1 - reach, max_size=size - 1 - reach)
+    )
+    values = f.values[: reach + 1] + tuple(tail)
+    g = _complete_to_basis(cols, f.k)
+    assert tuple(values[transform_bits(g, j)] for j in range(size)) > values

@@ -327,6 +327,22 @@ def test_cli_dual_listing_canonicalize_refuses_before_work(capsys, monkeypatch):
     assert "brute-force canonicalization at rank 9" in capsys.readouterr().err
 
 
+def test_cli_unwritable_out_refused_before_work(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(catalogue, "generate", no_work)
+    missing = tmp_path / "no-such-dir" / "x.txt"
+    cell = ["--rank", "3", "--size", "4", "--class", "loopless"]
+    for command in ("generate", "dual-listing"):
+        for target in (missing, tmp_path, ""):
+            assert main([command, *cell, "--out", str(target)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+    assert not missing.parent.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_force_override(capsys):
     code = main(
         ["generate", "--rank", "1", "--size", "16", "--class", "loopless", "--force"]

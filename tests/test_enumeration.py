@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from matroidcat import enumeration
 from matroidcat.enumeration import (
     InvalidShape,
     LabelOutOfRange,
@@ -379,6 +380,36 @@ def test_pruned_scan_keeps_every_canonical_tuple():
         visited += len(pruned)
         reference += len(cands)
     assert visited < reference
+
+
+def test_backjumping_scan_keeps_every_canonical_tuple(monkeypatch):
+    # generate reports each witness back to the fill, which skips every
+    # candidate the same relabelling rejects; the channel is an argument, so
+    # a wrapper that forwards it and draws with next(), as a tracer does,
+    # still sees the backjumping scan
+    tested = []
+
+    def counting_test(values, k):
+        tested.append(values)
+        return _lex_larger_witness_columns(values, k)
+
+    def forwarding(*args):
+        for values in candidate_functions(*args):
+            yield values
+
+    monkeypatch.setattr(enumeration, "_lex_larger_witness_columns", counting_test)
+    monkeypatch.setattr(enumeration, "candidate_functions", forwarding)
+    skipped = 0
+    for k, n, cls in REFERENCE_CELLS:
+        tested.clear()
+        out = [multiplicity_of(lv).values for lv in generate(k, n, cls)]
+        assert out == list(_reference_scan(k, n, cls)[1]), (k, n, cls)
+        # the fill without reports jumps only over rejected restrictions
+        candidates = list(candidate_functions(k, n, cls))
+        rest = iter(candidates)
+        assert all(values in rest for values in tested), (k, n, cls)
+        skipped += len(candidates) - len(tested)
+    assert skipped > 0
 
 
 def test_restriction_of_canonical_tuple_is_canonical():

@@ -1,19 +1,31 @@
-"""Every benchmark listing still matches its golden digest and its oracles.
+"""Every benchmark listing still matches its golden digest and its oracles,
+and so do the frontier cells beyond the benchmark.
 
 ``perfbench/workloads.py --check`` re-derives each workload cell's listing,
 compares it byte for byte with the SHA-256 in ``perfbench/goldens.json``
 (the counts table included), checks each entry's flag letters against its
 class and each Tutte grid against deletion-contraction.  It runs here from
 the repository root in a fresh interpreter, reading perfbench/ only.
+
+``frontier_digests.json`` holds the SHA-256 of three larger listings, the
+deepest cells of the orderly scan that tier-1 can afford, recorded with the
+scan before witness backjumping.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from matroidcat.catalogue import main
+
 ROOT = Path(__file__).resolve().parents[1]
+FRONTIER = json.loads((Path(__file__).parent / "frontier_digests.json").read_text())
 
 
 def test_workload_listings_match_goldens():
@@ -26,3 +38,12 @@ def test_workload_listings_match_goldens():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "FAIL" not in proc.stdout
+
+
+@pytest.mark.parametrize("command", sorted(FRONTIER))
+def test_frontier_listing_matches_digest(command, tmp_path):
+    out = tmp_path / "listing.txt"
+    assert main(command.split() + ["--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert data.count(b"\n") == FRONTIER[command]["lines"]
+    assert hashlib.sha256(data).hexdigest() == FRONTIER[command]["sha256"]

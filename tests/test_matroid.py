@@ -17,7 +17,7 @@ from conftest import (
     reference_cases,
 )
 from matroidcat.enumeration import generate
-from matroidcat.gf2 import Gf2Matrix
+from matroidcat.gf2 import Gf2Matrix, span_labels
 from matroidcat.matroid import (
     BinaryMatroid,
     CorankTooLarge,
@@ -151,6 +151,28 @@ def test_flats_of_corank_are_all_the_flats(fano, polygon):
         expected = flats_by_corank_bruteforce(m)
         for c in range(1, m.rank + 1):
             assert m.flats_of_corank(c) == expected[c], (m, c)
+
+
+def span_closure(m, subset):
+    """Closure as the elements whose columns lie in the full span."""
+    span = span_labels([m.column_of(e) for e in subset])
+    return frozenset(e for e in m.ground if m.column_of(e) in span)
+
+
+def test_closure_by_reduction_matches_span_closure():
+    for k in range(1, 5):
+        for n in range(k, 9):
+            for lv in generate(k, n, "simple"):
+                m = from_labels(lv.labels, k)
+                independent = {c: set() for c in range(1, k + 1)}
+                for size in range(n + 1):
+                    for s in itertools.combinations(m.ground, size):
+                        closure = span_closure(m, s)
+                        assert m.closure(s) == closure, (m, s)
+                        if size < k and m.rank_of(s) == size:
+                            independent[k - size].add(closure)
+                for c in range(1, k + 1):
+                    assert m.flats_of_corank(c) == independent[c], (m, c)
 
 
 def test_flats_of_corank_bounds(fano):
