@@ -7,7 +7,8 @@ Subcommands:
   entry per line.
 * ``dual-listing``: entries of a high rank obtained by dualizing the
   generated low-rank side; representatives are generally non-canonical and
-  marked ``dualized`` unless re-canonicalized.
+  marked ``dualized``, unless ``--canonicalize`` relabels each to the
+  representative ``generate`` emits for its class.
 * ``counts``: table of class counts over a rank/size rectangle.
 
 All three run the same pipeline (``_pipeline``), in one process and one
@@ -24,9 +25,16 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .enumeration import InvalidShape, generate
-from .gf2 import Gf2Matrix, gl_column_tuples, gl_group_order, transform_bits
-from .matroid import BRUTEFORCE_MAX_GROUP_ORDER, BinaryMatroid
+from .enumeration import (
+    InvalidShape,
+    LabelVector,
+    canonical_form,
+    generate,
+    label_vector_of,
+    multiplicity_of,
+)
+from .gf2 import Gf2Matrix
+from .matroid import BinaryMatroid
 from .regularity import is_regular
 from .tutte import TuttePolynomial, tutte_by_activities
 
@@ -151,7 +159,7 @@ def _split_class(matroid_class: str) -> tuple[str, bool]:
 def _guard(k: int, n: int, force: bool) -> None:
     if (n > MAX_SIZE or k > MAX_RANK) and not force:
         raise ResourceGuard(
-            f"a scan of rank {k}, size {n} exceeds the supported scale "
+            f"rank {k}, size {n} exceeds the supported scale "
             f"(rank <= {MAX_RANK}, size <= {MAX_SIZE}); pass --force to override"
         )
 
@@ -237,23 +245,12 @@ def run_generate(
     return entries
 
 
-def _bruteforce_guard(k: int) -> None:
-    if gl_group_order(k) > BRUTEFORCE_MAX_GROUP_ORDER:
-        raise ResourceGuard(
-            f"brute-force canonicalization at rank {k} needs {gl_group_order(k)} "
-            f"group elements (bound {BRUTEFORCE_MAX_GROUP_ORDER})"
-        )
-
-
-def canonical_labels_bruteforce(labels: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """Lexicographically smallest label vector in the isomorphism class."""
-    _bruteforce_guard(k)
-    best = tuple(sorted(labels))
-    for g in gl_column_tuples(k):
-        cand = tuple(sorted(transform_bits(g, c) for c in labels))
-        if cand < best:
-            best = cand
-    return best
+def _canonical_labels(labels: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """Smallest label vector in the class of a spanning rank-k label vector:
+    its loops, which every relabelling fixes, then the canonical rest."""
+    loops = labels.count(0)
+    rest = multiplicity_of(LabelVector(labels[loops:], k))
+    return labels[:loops] + label_vector_of(canonical_form(rest)).labels
 
 
 def run_dual_listing(
@@ -272,8 +269,12 @@ def run_dual_listing(
     regularity are decided on the generated side, and L and S read off the
     duals' columns, so no flat of a rank-k dual is built.  The cost is that
     of generating the rank-(n-k) side, which the same guard as generate's
-    bounds.  Canonicalization walks GL(k, 2) per entry and is refused,
-    before any work, beyond the brute-force bound.
+    bounds.
+
+    With canonicalize, each dual is relabelled to the representative that
+    generate emits (enumeration.canonical_form), and the entries are sorted
+    and unmarked.  The guard bounds k as well: an entry takes about 0.5 s
+    at rank 8, 8 s at rank 9 and, for some, over 4 minutes at rank 10.
     """
     if k < 1 or not 1 <= n - k <= MAX_RANK:
         raise InvalidShape(
@@ -282,19 +283,14 @@ def run_dual_listing(
         )
     _guard(n - k, n, force)
     if canonicalize:
-        _bruteforce_guard(k)
+        _guard(k, n, force)
     _check_out(out)
     entries = list(_pipeline(k, n, matroid_class, dualize=True))
     if canonicalize:
         entries = sorted(
             (
                 CatalogueEntry(
-                    e.rank,
-                    e.size,
-                    canonical_labels_bruteforce(e.labels, e.rank),
-                    e.flags,
-                    e.tutte,
-                    False,
+                    e.rank, e.size, _canonical_labels(e.labels, k), e.flags, e.tutte
                 )
                 for e in entries
             ),

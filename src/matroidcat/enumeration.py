@@ -48,6 +48,13 @@ of which fix e_1, ..., e_t), is skipped.  An automorphism maps a subtree
 onto a subtree with the same comparisons, so the skipped subtrees hold no
 witness, and the test returns exactly what the exhaustive search returns:
 None, or the same witness.
+
+The same test yields the canonical form of any spanning function f.
+Relabelling f through a witness, completed to a basis, gives a function of
+f's orbit that is lexicographically larger, so testing again and relabelling
+again climbs strictly within the orbit.  The orbit is finite, so the climb
+ends, and it ends only where the test finds no witness: at the orbit
+maximum, the representative that generate emits for f's class.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .gf2 import Gf2Matrix, Gf2Vector, rank_of_labels, transform_bits
+from .gf2 import Gf2Matrix, Gf2Vector, echelon_basis, rank_of_labels, transform_bits
 
 
 class EnumerationError(Exception):
@@ -158,31 +165,14 @@ def multiplicity_of(r: LabelVector) -> MultiplicityFunction:
 # -- canonicity ---------------------------------------------------------------
 
 
-def _satisfies_necessary_conditions(values: Sequence[int], k: int) -> bool:
-    # every unit label present, and no later label outweighs a unit label
-    size = 1 << k
-    for j in range(k):
-        unit = 1 << j
-        if values[unit] == 0:
-            return False
-        cap = values[unit]
-        if any(values[r] > cap for r in range(unit + 1, size)):
-            return False
-    return True
-
-
 def _complete_to_basis(cols: Sequence[int], k: int) -> list[int]:
-    span = {0}
-    for c in cols:
-        span |= {c ^ x for x in span}
-    out = list(cols)
-    v = 1
-    while len(out) < k:
-        if v not in span:
-            out.append(v)
-            span |= {v ^ x for x in span}
-        v += 1
-    return out
+    """cols followed by the least labels outside their span, in increasing
+    order, up to a basis: the unit labels 2^j at the bit positions j that
+    lead no vector of cols' echelon basis, since no vector of the span has
+    its highest bit at such a j, and every label below the first one lies in
+    the span."""
+    leading = {b.bit_length() - 1 for b in echelon_basis(cols)}
+    return list(cols) + [1 << j for j in range(k) if j not in leading]
 
 
 def _lex_larger_witness_columns(
@@ -304,9 +294,18 @@ def lex_larger_witness(f: MultiplicityFunction) -> Gf2Matrix | None:
 
 def is_canonical(f: MultiplicityFunction) -> bool:
     """True when f is the lexicographically largest function in its orbit."""
-    if not _satisfies_necessary_conditions(f.values, f.k):
-        return False
     return _lex_larger_witness_columns(f.values, f.k) is None
+
+
+def canonical_form(f: MultiplicityFunction) -> MultiplicityFunction:
+    """The lexicographically largest function in f's orbit: f relabelled
+    through the witness of each rejection, completed to a basis, until the
+    canonicity test finds none."""
+    values = f.values
+    while (cols := _lex_larger_witness_columns(values, f.k)) is not None:
+        g = _complete_to_basis(cols, f.k)
+        values = tuple(values[transform_bits(g, x)] for x in range(1 << f.k))
+    return MultiplicityFunction(values, f.k)
 
 
 # -- candidate iteration and generation --------------------------------------

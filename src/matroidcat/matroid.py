@@ -146,16 +146,18 @@ class BinaryMatroid:
 
     def flats_of_corank(self, c: int) -> frozenset[frozenset[int]]:
         """Flats of rank (rank - c): the closures of the independent sets of
-        that size."""
+        that size.  An independent set holds no loop and at most one element
+        of each parallel class, so the sets are drawn from the distinct
+        nonzero columns."""
         if c < 1:
             raise ValueError("corank must be at least 1")
         if c > self.rank:
             raise CorankTooLarge(f"corank {c} exceeds rank {self.rank}")
         size = self.rank - c
-        columns = self._columns
+        distinct = sorted(set(self._columns.values()) - {0})
         flats = set()
-        for s in combinations(self.ground, size):
-            echelon = echelon_basis([columns[e] for e in s])
+        for s in combinations(distinct, size):
+            echelon = echelon_basis(s)
             if len(echelon) == size:
                 flats.add(self._spanned_by(echelon))
         return frozenset(flats)

@@ -1,11 +1,13 @@
-"""Shared fixture matrices used across the test suite."""
+"""Shared fixture matrices and oracles used across the test suite."""
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 
 from matroidcat.enumeration import generate
-from matroidcat.gf2 import Gf2Matrix
+from matroidcat.gf2 import Gf2Matrix, gl_column_tuples, rank_of_labels, transform_bits
 from matroidcat.matroid import BinaryMatroid
 
 # The Fano plane: columns are the seven nonzero vectors of GF(2)^3.
@@ -110,6 +112,37 @@ def reference_cases() -> list[BinaryMatroid]:
         for rows in (FANO_ROWS, FANO_DUAL_ROWS, POLYGON_ROWS, NONREGULAR_13_ROWS)
     ]
     return primal + [m.dual() for m in primal]
+
+
+def orbit_count(k: int, n: int, simple: bool) -> int:
+    """Classify all spanning candidate functions under the full group action."""
+    labels = range(1, 1 << k)
+    pool = (
+        itertools.combinations(labels, n)
+        if simple
+        else itertools.combinations_with_replacement(labels, n)
+    )
+    funcs = set()
+    for multiset in pool:
+        if rank_of_labels(set(multiset)) != k:
+            continue
+        values = [0] * (1 << k)
+        for lbl in multiset:
+            values[lbl] += 1
+        funcs.add(tuple(values))
+    group = list(gl_column_tuples(k))
+    seen: set = set()
+    orbits = 0
+    for f in sorted(funcs):
+        if f in seen:
+            continue
+        orbits += 1
+        for g in group:
+            image = [0] * (1 << k)
+            for j in range(1 << k):
+                image[transform_bits(g, j)] = f[j]
+            seen.add(tuple(image))
+    return orbits
 
 
 @pytest.fixture

@@ -6,7 +6,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the report lines.
 
 from __future__ import annotations
 
-import itertools
 import time
 from contextlib import contextmanager
 
@@ -18,10 +17,11 @@ from conftest import (
     POLYGON_CIRCUITS,
     POLYGON_ROWS,
     matroid,
+    orbit_count,
 )
 from matroidcat.catalogue import main, matroid_of_labels, run_generate
 from matroidcat.enumeration import generate
-from matroidcat.gf2 import Gf2Matrix, gl_column_tuples, rank_of_labels, transform_bits
+from matroidcat.gf2 import Gf2Matrix
 from matroidcat.matroid import BinaryMatroid
 from matroidcat.regularity import is_fano, is_regular
 from matroidcat.tutte import (
@@ -107,44 +107,14 @@ def test_criterion_3_polygon_regression():
     print()
 
 
-def _orbit_count(k: int, n: int, simple: bool) -> int:
-    labels = range(1, 1 << k)
-    pool = (
-        itertools.combinations(labels, n)
-        if simple
-        else itertools.combinations_with_replacement(labels, n)
-    )
-    funcs = set()
-    for multiset in pool:
-        if rank_of_labels(set(multiset)) != k:
-            continue
-        values = [0] * (1 << k)
-        for lbl in multiset:
-            values[lbl] += 1
-        funcs.add(tuple(values))
-    group = list(gl_column_tuples(k))
-    seen: set = set()
-    orbits = 0
-    for f in sorted(funcs):
-        if f in seen:
-            continue
-        orbits += 1
-        for g in group:
-            image = [0] * (1 << k)
-            for j in range(1 << k):
-                image[transform_bits(g, j)] = f[j]
-            seen.add(tuple(image))
-    return orbits
-
-
 def test_criterion_4_isomorphism_oracle_equivalence():
     with criterion("criterion 4 (orbit counts, k <= 3, n <= 5)", 60.0):
         for k in range(1, 4):
             for n in range(k, 6):
-                assert len(list(generate(k, n, "loopless"))) == _orbit_count(
+                assert len(list(generate(k, n, "loopless"))) == orbit_count(
                     k, n, simple=False
                 ), (k, n, "loopless")
-                assert len(list(generate(k, n, "simple"))) == _orbit_count(
+                assert len(list(generate(k, n, "simple"))) == orbit_count(
                     k, n, simple=True
                 ), (k, n, "simple")
     print()

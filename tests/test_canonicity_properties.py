@@ -13,6 +13,7 @@ from matroidcat.enumeration import (
     _complete_to_basis,
     _lex_larger_witness_columns,
     _witness_reach,
+    canonical_form,
     is_canonical,
     lex_larger_witness,
     transform_label,
@@ -46,6 +47,9 @@ def test_canonical_exactly_when_orbit_maximum(f):
     orbit_max = max(relabel(f.values) for relabel in _relabellings(f.k))
     assert is_canonical(f) == (f.values == orbit_max)
     assert is_canonical(MultiplicityFunction(orbit_max, f.k))
+    top = canonical_form(f)
+    assert top.values == orbit_max
+    assert canonical_form(top) == top
     w = lex_larger_witness(f)
     if w is not None:
         image = tuple(f.values[transform_label(w, j)] for j in range(1 << f.k))

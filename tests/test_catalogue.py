@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 import pytest
 
 import matroidcat.catalogue as catalogue
@@ -9,7 +11,6 @@ from matroidcat.catalogue import (
     CatalogueEntry,
     MATROID_CLASSES,
     ResourceGuard,
-    canonical_labels_bruteforce,
     compute_flags,
     main,
     matroid_of_labels,
@@ -17,6 +18,7 @@ from matroidcat.catalogue import (
     run_dual_listing,
     run_generate,
 )
+from matroidcat.gf2 import gl_column_tuples, transform_bits
 from matroidcat.matroid import BinaryMatroid
 from matroidcat.tutte import TuttePolynomial
 
@@ -200,12 +202,33 @@ def test_dual_listing_builds_no_flats(capsys, monkeypatch):
 
 
 def test_dual_listing_canonicalize_recovers_standard_representatives():
-    canon = run_dual_listing(
-        3, 5, "connected-loopless", out="/dev/null", canonicalize=True
-    )
-    direct = run_generate(3, 5, "connected-loopless", out="/dev/null")
-    assert [e.labels for e in canon] == [e.labels for e in direct]
-    assert all(not e.dualized for e in canon)
+    for k, n in ((3, 5), (5, 9), (6, 10), (7, 10)):
+        canon = run_dual_listing(
+            k, n, "connected-loopless", out="/dev/null", canonicalize=True
+        )
+        direct = run_generate(k, n, "connected-loopless", out="/dev/null")
+        assert lines_of(canon) == lines_of(direct), (k, n)
+
+
+def test_dual_listing_canonicalize_keeps_loops():
+    # duals of matroids with coloops have loops, which every relabelling
+    # fixes; the rest must be the orbit minimum over GL(4, 2)
+    group = [
+        operator.itemgetter(*(transform_bits(g, j) for j in range(16)))
+        for g in gl_column_tuples(4)
+    ]
+    entries = run_dual_listing(4, 7, "loopless", out="/dev/null", canonicalize=True)
+    expected = []
+    for e in run_dual_listing(4, 7, "loopless", out="/dev/null"):
+        values = [0] * 16
+        for lbl in e.labels:
+            values[lbl] += 1
+        top = max(relabel(values) for relabel in group)
+        labels = tuple(lbl for lbl in range(16) for _ in range(top[lbl]))
+        expected.append((labels, e.flags))
+    assert [(e.labels, e.flags) for e in entries] == sorted(expected)
+    assert any(0 in e.labels for e in entries)
+    assert not any(e.dualized for e in entries)
 
 
 def test_dual_listing_shape_validation():
@@ -215,13 +238,6 @@ def test_dual_listing_shape_validation():
         run_dual_listing(8, 16, "connected-loopless")  # size - rank = 8
     with pytest.raises(InvalidShape):
         run_dual_listing(5, 5, "connected-loopless")  # size - rank = 0
-
-
-def test_canonical_labels_bruteforce():
-    assert canonical_labels_bruteforce((1, 2, 4, 4, 7), 3) == (1, 1, 2, 4, 7)
-    assert canonical_labels_bruteforce((1, 2, 4, 5, 6), 3) == (1, 2, 3, 4, 5)
-    with pytest.raises(ResourceGuard):
-        canonical_labels_bruteforce(tuple(1 << j for j in range(8)), 8)
 
 
 def test_resource_guard():
@@ -315,6 +331,7 @@ def test_cli_counts_force(capsys):
 
 
 def test_cli_dual_listing_canonicalize_refuses_before_work(capsys, monkeypatch):
+    # the generated side has rank 2, but canonicalization searches rank 9
     def no_work(*args, **kwargs):
         raise AssertionError("the pipeline ran")
 
@@ -324,7 +341,19 @@ def test_cli_dual_listing_canonicalize_refuses_before_work(capsys, monkeypatch):
         "--class", "connected-loopless", "--canonicalize",
     ]
     assert main(argv) == 3
-    assert "brute-force canonicalization at rank 9" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "rank 9" in err and "--force" in err
+
+
+def test_cli_dual_listing_canonicalize_force(capsys):
+    argv = [
+        "dual-listing", "--rank", "8", "--size", "9",
+        "--class", "connected-loopless", "--canonicalize",
+    ]
+    assert main(argv) == 3
+    capsys.readouterr()
+    assert main(argv + ["--force"]) == 0
+    assert capsys.readouterr().out == "k=8 n=9 r=(1,2,4,8,16,32,64,128,255) flags=LSCR\n"
 
 
 def test_cli_unwritable_out_refused_before_work(tmp_path, capsys, monkeypatch):

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from conftest import orbit_count
 from matroidcat import enumeration
 from matroidcat.enumeration import (
     InvalidShape,
@@ -15,8 +16,10 @@ from matroidcat.enumeration import (
     LabelVector,
     MultiplicityFunction,
     SingularMatrix,
+    _complete_to_basis,
     _lex_larger_witness_columns,
     candidate_functions,
+    canonical_form,
     generate,
     is_canonical,
     label_of_vector,
@@ -158,6 +161,34 @@ def test_witness_absent_for_canonical():
     assert lex_larger_witness(mf([0, 2, 1, 0, 1, 0, 0, 0], 3)) is None
 
 
+def test_complete_to_basis_appends_least_labels_outside_span():
+    def by_span(cols, k):
+        span = {0}
+        for c in cols:
+            span |= {c ^ x for x in span}
+        out = list(cols)
+        for v in range(1, 1 << k):
+            if len(out) < k and v not in span:
+                out.append(v)
+                span |= {v ^ x for x in span}
+        return out
+
+    for k in range(1, 5):
+        for s in range(k + 1):
+            for cols in itertools.permutations(range(1, 1 << k), s):
+                if rank_of_labels(cols) == s:
+                    assert _complete_to_basis(cols, k) == by_span(cols, k), cols
+
+
+def test_canonical_form_worked_examples():
+    for labels, canonical in (
+        ((1, 2, 4, 4, 7), (1, 1, 2, 4, 7)),
+        ((1, 2, 4, 5, 6), (1, 2, 3, 4, 5)),
+    ):
+        f = multiplicity_of(LabelVector(labels, 3))
+        assert label_vector_of(canonical_form(f)).labels == canonical
+
+
 def test_generate_rank3_size4():
     assert [r.labels for r in generate(3, 4, "loopless")] == [
         (1, 1, 2, 4),
@@ -222,47 +253,14 @@ def test_candidates_respect_necessary_conditions():
             assert all(values[unit] >= values[r] for r in range(unit + 1, 8))
 
 
-def _orbit_count(k: int, n: int, simple: bool) -> int:
-    """Classify all spanning candidate functions under the full group action."""
-    from matroidcat.gf2 import gl_column_tuples, transform_bits
-
-    labels = range(1, 1 << k)
-    pool = (
-        itertools.combinations(labels, n)
-        if simple
-        else itertools.combinations_with_replacement(labels, n)
-    )
-    funcs = set()
-    for multiset in pool:
-        if rank_of_labels(set(multiset)) != k:
-            continue
-        values = [0] * (1 << k)
-        for lbl in multiset:
-            values[lbl] += 1
-        funcs.add(tuple(values))
-    group = list(gl_column_tuples(k))
-    seen: set = set()
-    orbits = 0
-    for f in sorted(funcs):
-        if f in seen:
-            continue
-        orbits += 1
-        for g in group:
-            image = [0] * (1 << k)
-            for j in range(1 << k):
-                image[transform_bits(g, j)] = f[j]
-            seen.add(tuple(image))
-    return orbits
-
-
 def test_one_representative_per_orbit_small():
     for k in (1, 2):
         for n in range(k, 5):
-            assert len(list(generate(k, n, "loopless"))) == _orbit_count(
+            assert len(list(generate(k, n, "loopless"))) == orbit_count(
                 k, n, simple=False
             )
             if n < 1 << k:
-                assert len(list(generate(k, n, "simple"))) == _orbit_count(
+                assert len(list(generate(k, n, "simple"))) == orbit_count(
                     k, n, simple=True
                 )
 
@@ -380,6 +378,19 @@ def test_pruned_scan_keeps_every_canonical_tuple():
         visited += len(pruned)
         reference += len(cands)
     assert visited < reference
+
+
+def test_canonical_form_fixes_exactly_the_canonical_candidates():
+    fixed = 0
+    for k, n, cls in REFERENCE_CELLS:
+        if k > 4:
+            continue
+        for values in _reference_scan(k, n, cls)[0]:
+            f = mf(values, k)
+            is_fixed = canonical_form(f) == f
+            assert is_fixed == is_canonical(f), (values, k)
+            fixed += is_fixed
+    assert fixed
 
 
 def test_backjumping_scan_keeps_every_canonical_tuple(monkeypatch):
