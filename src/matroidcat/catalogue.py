@@ -11,9 +11,12 @@ Subcommands:
   representative ``generate`` emits for its class.
 * ``counts``: table of class counts over a rank/size rectangle.
 
-All three run the same pipeline (``_pipeline``), in one process and one
-candidate at a time, so memory does not grow with the number of candidates.
-Output is deterministic: byte-identical across runs.
+``generate`` and ``dual-listing`` run the same pipeline (``_pipeline``), in
+one process and one candidate at a time, so memory does not grow with the
+number of candidates.  ``counts`` reads the four plain classes off the cycle
+index of GL(k, 2) (``orbits``) without enumerating; only ``--regular-only``
+counts run the pipeline.  Output is deterministic: byte-identical across
+runs.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .enumeration import (
 )
 from .gf2 import Gf2Matrix
 from .matroid import BinaryMatroid
+from .orbits import class_counts
 from .regularity import is_regular
 from .tutte import TuttePolynomial, tutte_by_activities
 
@@ -125,7 +129,7 @@ def compute_flags(
     connected: Optional[bool] = None,
     dual: Optional[BinaryMatroid] = None,
 ) -> str:
-    """Recompute the L, S, C, R properties from scratch.
+    """The L, S, C, R flags of m, reusing a known connectivity or its dual.
 
     L and S are read off m's columns.  Connectivity (for two or more
     elements) and regularity are invariant under duality, so when m's dual
@@ -307,17 +311,25 @@ def run_counts(
     regular_only: bool = False,
     force: bool = False,
 ) -> str:
-    """Class-count table over all cells with rank <= max_k, size <= max_n."""
+    """Class-count table over all cells with rank <= max_k, size <= max_n.
+
+    The four plain classes are counted by Burnside's lemma over the cycle
+    index of GL(k, 2), with no enumeration (orbits.class_counts).  Regular
+    classes have no such formula: with regular_only, every cell runs the
+    pipeline and counts the entries it keeps.
+    """
     if max_k < 1 or max_n < 1:
         raise InvalidShape("table bounds must be at least 1")
     _guard(max_k, max_n, force)
-    cells = {
-        (k, n): sum(
-            1 for _ in _pipeline(k, n, matroid_class, regular_only, with_flags=False)
-        )
-        for k in range(1, max_k + 1)
-        for n in range(k, max_n + 1)
-    }
+    if regular_only:
+        cells = {
+            (k, n): sum(1 for _ in _pipeline(k, n, matroid_class, True, with_flags=False))
+            for k in range(1, max_k + 1)
+            for n in range(k, max_n + 1)
+        }
+    else:
+        base, connected = _split_class(matroid_class)
+        cells = class_counts(max_k, max_n, base == "simple", connected)
     width = max(
         [len(str(v)) for v in cells.values()]
         + [len(str(max_n)), len(f"k={max_k}")]

@@ -6,8 +6,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the report lines.
 
 from __future__ import annotations
 
+import io
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 
 from conftest import (
     CONTRACTED_BLOCK_ROWS,
@@ -183,3 +184,19 @@ def test_criterion_8_scale_report():
         f"criterion 8 (scale report): {len(entries)} regular entries "
         f"with Tutte polynomials in {elapsed:.2f}s (target 600s)"
     )
+
+
+
+def test_counts_over_the_whole_guard():
+    """The guard's promise for plain counts: the whole k <= 7, n <= 15
+    table of every class finishes in a recorded time."""
+    for cls in ("loopless", "simple", "connected-loopless", "connected-simple"):
+        argv = ["counts", "--max-rank", "7", "--max-size", "15", "--class", cls]
+        out = io.StringIO()
+        with criterion(f"counts {cls}, k <= 7, n <= 15", 5.0):
+            with redirect_stdout(out):
+                assert main(argv) == 0
+        rows = [row.split()[1:] for row in out.getvalue().splitlines()[1:]]
+        assert len(rows) == 7 and all(len(row) == 15 for row in rows)
+        assert int(rows[6][14]) > 0, cls
+    print()

@@ -115,7 +115,8 @@ def test_counts_table_text():
 
 
 def test_counts_match_generate():
-    # counts and generate share one pipeline; counts skips the flags
+    # plain counts come from the cycle index, regular-only counts from the
+    # pipeline without flags; both must agree with generate
     for cls in MATROID_CLASSES:
         for regular_only in (False, True):
             table = run_counts(3, 6, cls, regular_only=regular_only)
@@ -135,14 +136,14 @@ def test_counts_match_generate():
 
 def test_counts_duality_symmetry():
     # duals of connected loopless matroids are connected loopless (n >= 2)
-    for n in range(4, 9):
+    for n in range(2, 15):
         cells = {}
         table = run_counts(7, n, "connected-loopless")
         for row in table.splitlines()[1:]:
             head, *vals = row.split()
             cells[int(head[2:])] = int(vals[n - 1])
-        for k in range(1, n):
-            assert cells[k] == cells[n - k]
+        for k in range(max(1, n - 7), min(n - 1, 7) + 1):
+            assert cells[k] == cells[n - k], (k, n)
 
 
 def test_counts_connected_loopless_row_n8():
