@@ -8,8 +8,10 @@ minimal supports of row-space vectors, hyperplanes their complements.
 Rank and closure come from one echelon basis of the columns: its length is
 the rank, and a column lies in the closure when it reduces to 0 against it.
 A flat of rank r is the closure of an independent set of size r.  Minors go
-through the pivot transform, connectivity through the circuits or the
-cocircuits, whichever span is smaller.
+through the pivot transform.  The reduced row echelon form computed at
+construction, which checks the rank, is kept: its rows are the fundamental
+cocircuits of the lex-first basis, and connectivity and the Tutte
+polynomial read them directly.
 """
 
 from __future__ import annotations
@@ -91,9 +93,13 @@ class BinaryMatroid:
             raise ValueError("ground size must match the column count")
         if any(a >= b for a, b in zip(ground, ground[1:])):
             raise ValueError("ground labels must be strictly increasing")
-        if matrix.rank() != matrix.nrows:
+        reduced, pivots = matrix.rref()
+        if len(pivots) != matrix.nrows:
             raise ValueError("matrix rows must be linearly independent")
         self.matrix = matrix
+        # each row of the reduced matrix is the fundamental cocircuit of its
+        # pivot with respect to the basis of all pivots, the lex-first one
+        self.reduced = reduced
         self.ground = ground
         self._col_index = {e: j + 1 for j, e in enumerate(ground)}
         self._columns = dict(zip(ground, matrix.columns()))
@@ -256,34 +262,34 @@ class BinaryMatroid:
     # -- connectivity -------------------------------------------------------
 
     def is_connected(self) -> bool:
-        """Single element: not a loop.  Otherwise: the relation "lies in a
-        common circuit" must link the whole ground set.
+        """Single element: not a loop.  Otherwise: the fundamental graph of
+        the pivot basis must be connected (Krogdahl 1977).
 
-        A matroid and its dual have the same components, so the cocircuits
-        serve as well; the family walked is the one from the smaller span,
-        2^min(rank, corank) vectors.
+        That graph joins each pivot to the non-basis elements whose column
+        has a 1 in its reduced row, so it is connected exactly when the rows
+        of the reduced matrix, linked by shared columns, form one class
+        whose supports cover the ground set.  A loop lies in no support and
+        a coloop's row shares no column.
         """
         if self.size == 0:
             return False
         if self.size == 1:
             return self.column_of(self.ground[0]) != 0
-        component = {self.ground[0]}
-        if self.rank < self.size - self.rank:
-            pending = list(self.cocircuits)
-        else:
-            pending = list(self.circuits)
+        if not self.rank:
+            return False
+        reached, *pending = self.reduced.rows
         grew = True
         while grew:
             grew = False
             rest = []
-            for c in pending:
-                if c & component:
-                    component |= c
+            for row in pending:
+                if row & reached:
+                    reached |= row
                     grew = True
                 else:
-                    rest.append(c)
+                    rest.append(row)
             pending = rest
-        return component == set(self.ground)
+        return reached == (1 << self.size) - 1
 
 
 def _drop_bits(row: int, positions: list[int]) -> int:

@@ -3,9 +3,12 @@
 The primary path sums x^i(B) y^e(B) over all bases B, where e(B) counts
 non-basis elements that are the maximum of their fundamental circuit and
 i(B) counts basis elements that are the maximum of their fundamental
-cocircuit (computed as external activity of the complementary basis in the
-dual).  A memoized deletion/contraction recursion provides an independent
-second opinion; the two must agree coefficient for coefficient.
+cocircuit.  It walks the bases depth first, pivoting the matroid's reduced
+matrix on each element it picks, and counts both activities on the way down.
+``bases``, ``fundamental_circuit``, ``external_activity`` and
+``internal_activity`` keep the definitions one basis at a time, for
+reference.  A memoized deletion/contraction recursion provides an
+independent second opinion; the two must agree coefficient for coefficient.
 """
 
 from __future__ import annotations
@@ -13,7 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .gf2 import Gf2Matrix, Gf2Vector, NotInSpan, reduce_bits, solve_in_basis
+from .gf2 import (
+    Gf2Matrix,
+    Gf2Vector,
+    NotInSpan,
+    echelon_basis,
+    reduce_bits,
+    solve_in_basis,
+)
 from .matroid import BinaryMatroid
 
 
@@ -141,14 +151,60 @@ def internal_activity(m: BinaryMatroid, basis: frozenset[int]) -> int:
 
 
 def tutte_by_activities(m: BinaryMatroid) -> TuttePolynomial:
-    """Sum x^internal y^external over all bases."""
-    dual = m.dual()
-    whole = frozenset(m.ground)
-    counts: dict[tuple[int, int], int] = {}
-    for b in bases(m):
-        pair = (external_activity(dual, whole - b), external_activity(m, b))
-        counts[pair] = counts.get(pair, 0) + 1
-    return _grid_from_counts(counts, m.rank, m.size - m.rank)
+    """Sum x^internal y^external over all bases, in one walk over them.
+
+    The walk picks basis elements in label order, as ``bases`` lists them,
+    starting from m's reduced matrix.  The rows not yet pivoted stay reduced
+    on the picks so far, so an element is independent of them iff some of
+    those free rows has its bit, and picking it XORs one free row into the
+    others that have the bit.  An element passed over while it depends on
+    the picks tops its fundamental circuit, so it is externally active; so
+    is every element after the last pick.  Passing over an independent
+    element is allowed while the picks and the later elements still span,
+    which holds below the lowest leading bit of the free rows in echelon
+    form.  An element b is internally active exactly when no later element
+    can replace it, that is when the earlier picks and the elements after b
+    do not span: exactly when the walk picks b at that lowest leading bit.
+    """
+    k, n = m.rank, m.size
+    grid = [[0] * (n - k + 1) for _ in range(k + 1)]
+
+    def walk(c: int, free: list[int], ext: int, internal: int) -> None:
+        if len(free) == 1:
+            # each bit of the last free row completes one basis
+            v = free[0]
+            top = v.bit_length() - 1
+            row = grid[internal]
+            while c < top:
+                if v >> c & 1:
+                    row[ext + n - 1 - c] += 1
+                else:
+                    ext += 1
+                c += 1
+            grid[internal + 1][ext + n - 1 - top] += 1
+            return
+        last = echelon_basis(free)[-1].bit_length() - 1
+        span = 0
+        for r in free:
+            span |= r
+        while c <= last:
+            bit = 1 << c
+            if span & bit:
+                i = 0
+                while not free[i] & bit:
+                    i += 1
+                p = free[i]
+                rest = [r ^ p if r & bit else r for r in free[:i] + free[i + 1 :]]
+                walk(c + 1, rest, ext, internal + (c == last))
+            else:
+                ext += 1
+            c += 1
+
+    if k:
+        walk(0, list(m.reduced.rows), 0, 0)
+    else:
+        grid[0][n] = 1
+    return TuttePolynomial(tuple(tuple(row) for row in grid))
 
 
 def tutte_by_deletion_contraction(m: BinaryMatroid) -> TuttePolynomial:

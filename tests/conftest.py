@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from matroidcat.enumeration import generate
 from matroidcat.gf2 import Gf2Matrix, gl_column_tuples, rank_of_labels, transform_bits
@@ -94,6 +96,10 @@ POLYGON_CIRCUITS = [
 ]
 
 
+# R10: the ten weight-3 vectors of GF(2)^5, as column labels
+R10_LABELS = tuple(v for v in range(32) if bin(v).count("1") == 3)
+
+
 def matroid(rows: list[list[int]]) -> BinaryMatroid:
     return BinaryMatroid(Gf2Matrix.from_rows(rows))
 
@@ -112,6 +118,45 @@ def reference_cases() -> list[BinaryMatroid]:
         for rows in (FANO_ROWS, FANO_DUAL_ROWS, POLYGON_ROWS, NONREGULAR_13_ROWS)
     ]
     return primal + [m.dual() for m in primal]
+
+
+def cycle_matroid_of_complete_graph(vertices: int) -> BinaryMatroid:
+    """M(K_vertices): edge columns of the vertex-edge incidence matrix with
+    the last vertex's row dropped, edges in lexicographic order."""
+    rank = vertices - 1
+    cols = [
+        sum(1 << v for v in edge if v < rank)
+        for edge in itertools.combinations(range(vertices), 2)
+    ]
+    return BinaryMatroid(Gf2Matrix.from_columns(cols, rank))
+
+
+@st.composite
+def binary_matroids(draw, max_k: int = 5, max_n: int = 10) -> BinaryMatroid:
+    """Full-row-rank k x n matrices, rank 0 included.  Up to two coloops
+    and up to two loops (zero columns), none in most draws, are added to a
+    rank-(k - coloops) body of nonzero labels drawn with repetition, so
+    parallel columns are likely too; then the columns are shuffled."""
+    k = draw(st.integers(0, max_k))
+    n = draw(st.integers(k, max_n))
+    coloops = min(k, draw(st.sampled_from((0, 0, 0, 1, 2))))
+    body = k - coloops
+    if body:
+        loops = min(n - k, draw(st.sampled_from((0, 0, 0, 1, 2))))
+        labels = draw(
+            st.lists(
+                st.integers(1, (1 << body) - 1),
+                min_size=n - coloops - loops,
+                max_size=n - coloops - loops,
+            )
+        )
+        assume(rank_of_labels(labels) == body)
+        labels += [0] * loops
+    else:
+        labels = [0] * (n - coloops)
+    cols = labels + [1 << (body + i) for i in range(coloops)]
+    order = draw(st.permutations(range(n)))
+    return BinaryMatroid(Gf2Matrix.from_columns([cols[j] for j in order], k))
 
 
 def orbit_count(k: int, n: int, simple: bool) -> int:

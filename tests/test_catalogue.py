@@ -7,6 +7,7 @@ import operator
 import pytest
 
 import matroidcat.catalogue as catalogue
+from conftest import R10_LABELS, cycle_matroid_of_complete_graph
 from matroidcat.catalogue import (
     CatalogueEntry,
     MATROID_CLASSES,
@@ -20,7 +21,7 @@ from matroidcat.catalogue import (
 )
 from matroidcat.gf2 import gl_column_tuples, transform_bits
 from matroidcat.matroid import BinaryMatroid
-from matroidcat.tutte import TuttePolynomial
+from matroidcat.tutte import TuttePolynomial, tutte_by_activities
 
 RANK3_SIZE4_LINES = [
     "k=3 n=4 r=(1,1,2,4) flags=LR",
@@ -90,6 +91,37 @@ def test_generate_regular_only_excludes_fano():
 def test_generate_with_tutte():
     entries = run_generate(1, 2, "loopless", with_tutte=True, out="/dev/null")
     assert lines_of(entries) == ["k=1 n=2 r=(1,1) flags=LCR tutte=0,1;1,0"]
+
+
+def canonical_labels(m):
+    return catalogue._canonical_labels(tuple(sorted(m.matrix.columns())), m.rank)
+
+
+def test_regular_cell_5_15_is_exactly_k6():
+    # Heller's bound: a simple regular matroid of rank 5 has at most 15
+    # elements, and M(K_6) is the only one that reaches it
+    k6 = cycle_matroid_of_complete_graph(6)
+    (entry,) = run_generate(
+        5, 15, "connected-simple", regular_only=True, with_tutte=True, out="/dev/null"
+    )
+    assert entry.labels == canonical_labels(k6)
+    assert entry.tutte.grid == tutte_by_activities(k6).grid
+    assert entry.tutte.evaluate(1, 1) == 6**4
+
+
+def test_r10_is_in_the_regular_cell_5_10():
+    r10 = matroid_of_labels(R10_LABELS, 5)
+    labels = canonical_labels(r10)
+    assert labels == (1, 2, 4, 7, 8, 11, 16, 21, 25, 31)
+    # R10 is isomorphic to its dual
+    assert canonical_labels(r10.dual()) == labels
+    entries = run_generate(
+        5, 10, "connected-simple", regular_only=True, with_tutte=True, out="/dev/null"
+    )
+    (entry,) = [e for e in entries if e.labels == labels]
+    assert entry.flags == "LSCR"
+    assert entry.tutte.grid == entry.tutte.transpose().grid
+    assert entry.tutte.total() == 162
 
 
 def test_generate_is_deterministic():

@@ -6,6 +6,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
 
 from conftest import (
     CONTRACTED_BLOCK_ROWS,
@@ -13,6 +14,7 @@ from conftest import (
     FANO_ALT_ROWS,
     FANO_ROWS,
     POLYGON_CIRCUITS,
+    binary_matroids,
     matroid,
     reference_cases,
 )
@@ -319,26 +321,34 @@ def test_is_connected_with_coloop(polygon):
     assert not BinaryMatroid(Gf2Matrix.from_rows(rows)).is_connected()
 
 
-def test_is_connected_agrees_on_both_sides():
-    def linked_by_circuits(m):
-        component = {m.ground[0]}
-        grew = True
-        while grew:
-            grew = False
-            for c in m.circuits:
-                if c & component and not c <= component:
-                    component |= c
-                    grew = True
-        return component == set(m.ground)
+def linked_by_circuits(m):
+    component = {m.ground[0]}
+    grew = True
+    while grew:
+        grew = False
+        for c in m.circuits:
+            if c & component and not c <= component:
+                component |= c
+                grew = True
+    return component == set(m.ground)
 
+
+def test_is_connected_agrees_on_both_sides():
     walked = set()
     for m in reference_cases():
         if m.size < 2:
             continue
         assert m.is_connected() == m.dual().is_connected() == linked_by_circuits(m), m
         walked.add(m.rank < m.size - m.rank)
-    # both families are walked: cocircuits below the middle rank, circuits above
+    # the cases lie on both sides of the middle rank
     assert walked == {True, False}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(binary_matroids())
+def test_is_connected_matches_linked_circuits(m):
+    assume(m.size >= 2)
+    assert m.is_connected() == linked_by_circuits(m)
 
 
 def test_isomorphic_fano_representations():

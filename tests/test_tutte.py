@@ -5,8 +5,16 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import FANO_ROWS, matroid, reference_cases
+from conftest import (
+    FANO_ROWS,
+    R10_LABELS,
+    binary_matroids,
+    cycle_matroid_of_complete_graph,
+    matroid,
+    reference_cases,
+)
 from matroidcat.gf2 import Gf2Matrix, NotInSpan
 from matroidcat.matroid import BinaryMatroid
 from matroidcat.tutte import (
@@ -29,6 +37,8 @@ def from_labels(labels, k):
 PARALLEL_PAIR = from_labels([1, 1], 1)
 SINGLE_COLOOP = from_labels([1], 1)
 SINGLE_LOOP = BinaryMatroid(Gf2Matrix([], 1))
+
+R10 = from_labels(R10_LABELS, 5)
 
 # the textbook coefficient grid of the Fano plane,
 # x^3 + 4x^2 + 3x + 7xy + 3y + 6y^2 + 3y^3 + y^4
@@ -229,3 +239,38 @@ def test_loops_and_coloops_mix():
     assert t.evaluate(2, 3) == 2 * 9
     assert t.grid == tutte_by_deletion_contraction(m).grid
     assert t.coefficient(1, 2) == 1 and t.total() == 1
+
+
+def tutte_by_definition(m):
+    """Sum of x^internal_activity y^external_activity over bases(m)."""
+    grid = [[0] * (m.size - m.rank + 1) for _ in range(m.rank + 1)]
+    for b in bases(m):
+        grid[internal_activity(m, b)][external_activity(m, b)] += 1
+    return tuple(tuple(row) for row in grid)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(binary_matroids())
+def test_activities_walk_matches_the_definitions(m):
+    t = tutte_by_activities(m)
+    assert t.grid == tutte_by_deletion_contraction(m).grid
+    assert t.grid == tutte_by_definition(m)
+    assert tutte_by_activities(m.dual()).grid == t.transpose().grid
+
+
+@pytest.mark.parametrize("r, spanning_trees", [(2, 3), (3, 16), (4, 125), (5, 1296)])
+def test_complete_graph_spanning_trees(r, spanning_trees):
+    # Cayley's formula: K_{r+1} has (r+1)^(r-1) spanning trees
+    m = cycle_matroid_of_complete_graph(r + 1)
+    assert (m.rank, m.size) == (r, r * (r + 1) // 2)
+    t = tutte_by_activities(m)
+    assert t.evaluate(1, 1) == len(bases(m)) == spanning_trees
+    if r <= 4:
+        assert t.grid == tutte_by_deletion_contraction(m).grid
+
+
+def test_r10_is_self_dual_in_its_tutte_polynomial():
+    t = tutte_by_activities(R10)
+    assert t.total() == len(bases(R10)) == 162
+    assert t.grid == t.transpose().grid
+    assert tutte_by_activities(R10.dual()).grid == t.grid
