@@ -37,6 +37,16 @@ the subtree below that prefix.  So the fill resumes with the next value at
 the reach and skips only non-canonical candidates: the output is still
 that of the unpruned scan, in the same order.
 
+Any relabelling that rejects a prefix serves, not only the one a fresh
+search would return.  So each tested label (the subspace labels 2^t and the
+complete candidate) keeps the last witness found there and first walks it
+on the new prefix.  Consecutive prefixes often differ only near their end,
+so one relabelling often rejects a whole run of them, and then neither the
+search nor the complete candidate's test runs.  A stored witness that
+the walk finds larger on the new prefix is a proven rejection of it, with
+its own reach, so this too skips only non-canonical candidates, in the
+fill's order.
+
 The canonicity test searches the tie tree of partial matrices depth first,
 and its first path is the identity, so every other full tie it reaches is
 an automorphism.  It uses them as nauty does (McKay 1981; McKay and Piperno
@@ -47,7 +57,9 @@ the orbit of an earlier child, under the automorphisms found so far (all
 of which fix e_1, ..., e_t), is skipped.  An automorphism maps a subtree
 onto a subtree with the same comparisons, so the skipped subtrees hold no
 witness, and the test returns exactly what the exhaustive search returns:
-None, or the same witness.
+None, or the same witness.  At level t the test tries only the labels h
+with f(h) >= f(2^t): every other h loses the first comparison of its block,
+f(h) against f(2^t), so the search still meets the same first witness.
 
 The same test yields the canonical form of any spanning function f.
 Relabelling f through a witness, completed to a basis, gives a function of
@@ -206,7 +218,9 @@ def _lex_larger_witness_columns(
 
     Neither rule skips a witness, and the children are still tried in the
     same order, so the first witness found, or None, is that of the
-    exhaustive search.
+    exhaustive search.  Nor does the head filter: level t tries only the
+    labels h with values[h] >= values[2^t], since the block of any other h
+    is smaller at its first label, values[h ^ 0] against values[2^t].
     """
     size = 1 << k
     half = size >> 1
@@ -220,7 +234,16 @@ def _lex_larger_witness_columns(
     # orbit[x] leads to the least label of x's orbit under the automorphisms
     # found so far
     orbit = list(range(size))
-    every_label = range(1, size)
+    # heads[t]: the labels h with values[h] >= values[2^t], in increasing
+    # order, built when level t is first reached (the head filter)
+    heads: list[list[int] | None] = [None] * k
+
+    def level(t: int) -> list[int]:
+        labels = heads[t]
+        if labels is None:
+            least = values[1 << t]
+            labels = heads[t] = [h for h in range(1, size) if values[h] >= least]
+        return labels
 
     def search(t: int, labels: Iterable[int]) -> tuple[int, ...] | None:
         # a witness; () once a full tie (an automorphism) is found; or None
@@ -254,7 +277,7 @@ def _lex_larger_witness_columns(
                 in_span[a] = 1
             span_list.extend(added)
             chosen.append(h)
-            hit = search(t + 1, every_label)
+            hit = search(t + 1, level(t + 1))
             if hit is not None:
                 return hit
             chosen.pop()
@@ -268,7 +291,7 @@ def _lex_larger_witness_columns(
         base = 1 << t
         # one iterator, resumed after each automorphism; the orbits are read
         # lazily, as they grow while the siblings are searched
-        siblings = (h for h in range(base + 1, size) if orbit[h] == h)
+        siblings = (h for h in level(t) if h > base and orbit[h] == h)
         hit: tuple[int, ...] | None = ()
         while hit == ():
             for a in span_list[base:]:
@@ -317,26 +340,36 @@ def canonical_form(f: MultiplicityFunction) -> MultiplicityFunction:
 _restriction_witness = _lex_larger_witness_columns
 
 
-def _witness_reach(values: Sequence[int], cols: Sequence[int]) -> int:
+def _witness_reach(values: Sequence[int], cols: Sequence[int]) -> int | None:
     """The largest label on which the rejection of values by the witness
-    with leading columns cols depends.
+    with leading columns cols depends, or None when those columns prove no
+    rejection of values.
 
     The columns c_1, ..., c_s fix the relabelling g on the labels below 2^s.
-    The relabelled function ties with values on every label before the first
-    label x0 where the two differ, and is larger there.  That comparison
-    reads values only at x and g(x) for x <= x0, so any function that agrees
-    with values on the labels up to the returned one, max(x, g(x)) over
-    x <= x0, is rejected by every completion of the same columns.
+    When the relabelled function is larger at the first label x0 where the
+    two differ, that comparison reads values only at x and g(x) for
+    x <= x0, so any function that agrees with values on the labels up to
+    the returned one, max(x, g(x)) over x <= x0, is rejected by every
+    completion of the same columns.  When it is smaller there, or ties on
+    every label below 2^s, None is returned.  The walk builds each image
+    g(x) = c_(i+1) ^ g(x - 2^i), for 2^i <= x < 2^(i+1), only when it reads it.
     """
     images = [0]
-    for c in cols:
-        images += [c ^ x for x in images]
     reach = 0
-    for x, gx in enumerate(images):
-        reach = max(reach, x, gx)
-        if values[gx] != values[x]:
-            return reach
-    raise ValueError("cols do not relabel values into a larger function")
+    for c in cols:
+        base = len(images)
+        for m in range(base):
+            gx = c ^ images[m]
+            if gx > reach:
+                reach = gx
+            got = values[gx]
+            want = values[base + m]
+            if got != want:
+                if got < want:
+                    return None
+                return base + m if base + m > reach else reach
+            images.append(gx)
+    return None
 
 
 def _orderly_candidates(
@@ -362,12 +395,28 @@ def _orderly_candidates(
     the rest of the subtree below the prefix that ends at the reach, so the
     fill resumes with the next value at the reach.  The fill is one loop
     over an explicit stack, so a jump unwinds any number of labels at once.
+
+    Each tested label, 2^t for 2 <= t < k and the full tuple, keeps the
+    columns of the last witness found there.  Before it searches, or
+    yields, the fill walks them on the new prefix (_witness_reach): a
+    relabelling that rejects it is as good a witness as a fresh one, so the
+    fill jumps on its reach, and only otherwise runs the search or yields
+    the tuple.  Runs of tuples that differ only near their end are often
+    rejected by one relabelling, and the stored witness often reaches less
+    far than a fresh one, so its jump skips more.
     """
     size = 1 << k
     values = [0] * size
     least = [0] * size  # the least value at each label: 1 at the units
     for j in range(k):
         least[1 << j] = 1
+    # the labels whose prefix is tested, and the columns of the last witness
+    # found at each
+    tested = bytearray(size + 1)
+    tested[size] = 1
+    for t in range(2, k):
+        tested[1 << t] = 1
+    kept: list[tuple[int, ...] | None] = [None] * (size + 1)
     # on entering each label: the sum still to place, the cap on its value
     # (the value of the last unit label) and the unit labels still to fill
     left = [n] * (size + 1)
@@ -380,20 +429,25 @@ def _orderly_candidates(
         # the fill descends with pos's largest value
         if r < u or r > c * (size - pos):
             back = pos - 1
-        elif pos == size:
-            yield tuple(values)
-            cols = None if witness is None else witness[0]
-            back = pos - 1 if cols is None else _witness_reach(values, cols)
         else:
-            cols = None
-            if least[pos] and pos >= 4:
-                cols = _restriction_witness(values[:pos], pos.bit_length() - 1)
-            if cols is None:
+            back = pos if pos < size else pos - 1
+            if tested[pos]:
+                cols = kept[pos]
+                reach = None if cols is None else _witness_reach(values, cols)
+                if reach is None:
+                    if pos == size:
+                        yield tuple(values)
+                        cols = None if witness is None else witness[0]
+                    else:
+                        cols = _restriction_witness(values[:pos], pos.bit_length() - 1)
+                    if cols is not None:
+                        kept[pos] = cols
+                        reach = _witness_reach(values, cols)
+                if reach is not None:
+                    back = reach
+            if back == pos:
                 # the largest value that leaves 1 for every later unit label
                 values[pos] = min(c, r - u + least[pos])
-                back = pos
-            else:
-                back = _witness_reach(values, cols)
         if back < pos:
             while back and values[back] == least[back]:
                 back -= 1
@@ -421,8 +475,10 @@ def candidate_functions(
     present and dominant), and every canonical tuple of the class is among
     them.  witness, when given, is the one-slot list through which the
     consumer reports each candidate's witness, so that the scan backjumps
-    over the candidates the same relabelling rejects (see
-    _orderly_candidates).
+    over the candidates the same relabelling rejects, and walks the last
+    witness on each later candidate before it yields it (see
+    _orderly_candidates).  A candidate that witness rejects is not yielded,
+    so each yielded candidate still needs the consumer's one full test.
     """
     if matroid_class == "loopless":
         return _orderly_candidates(k, n, n, witness)

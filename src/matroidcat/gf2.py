@@ -293,6 +293,28 @@ def solve_in_basis(basis_cols: Gf2Matrix, target: Gf2Vector) -> Gf2Vector:
     return Gf2Vector(coeffs, m)
 
 
+def nullspace_of_reduced(reduced: Gf2Matrix) -> Gf2Matrix:
+    """``nullspace_basis`` of a matrix already in reduced row echelon form,
+    without eliminating again: the pivot of each nonzero row is its lowest
+    set bit.  One basis vector per free column, in increasing order; it
+    holds that column and every pivot whose row has a 1 there.
+    """
+    rows = [r for r in reduced.rows if r]
+    pivots = [r & -r for r in rows]
+    pivot_mask = sum(pivots)
+    basis = []
+    for j in range(reduced.ncols):
+        bit = 1 << j
+        if pivot_mask & bit:
+            continue
+        v = bit
+        for r, p in zip(rows, pivots):
+            if r & bit:
+                v |= p
+        basis.append(v)
+    return Gf2Matrix(basis, reduced.ncols)
+
+
 def span_labels(labels: Sequence[int]) -> set[int]:
     """All XOR combinations of the given bitmask vectors (including 0)."""
     span = {0}

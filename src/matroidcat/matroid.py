@@ -25,6 +25,7 @@ from .gf2 import (
     echelon_basis,
     gl_column_tuples,
     gl_group_order,
+    nullspace_of_reduced,
     rank_of_labels,
     reduce_bits,
     span_labels,
@@ -142,7 +143,7 @@ class BinaryMatroid:
             raise CircuitSpaceTooLarge(
                 f"null space has 2^{corank} vectors; bound is 2^{_MAX_CIRCUIT_CORANK}"
             )
-        null = self.matrix.nullspace_basis()
+        null = nullspace_of_reduced(self.reduced)
         masks = _minimal_supports(span_labels(null.rows), self.rank + 1)
         return frozenset(self._mask_to_subset(m) for m in masks)
 
@@ -256,8 +257,9 @@ class BinaryMatroid:
         return BinaryMatroid(Gf2Matrix(rows, len(survivors)), survivors)
 
     def dual(self) -> "BinaryMatroid":
-        """Matroid of the orthogonal complement, on the same ground set."""
-        return BinaryMatroid(self.matrix.nullspace_basis(), self.ground)
+        """Matroid of the orthogonal complement, on the same ground set,
+        read off the reduced matrix."""
+        return BinaryMatroid(nullspace_of_reduced(self.reduced), self.ground)
 
     # -- connectivity -------------------------------------------------------
 

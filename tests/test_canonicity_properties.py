@@ -18,7 +18,7 @@ from matroidcat.enumeration import (
     lex_larger_witness,
     transform_label,
 )
-from matroidcat.gf2 import gl_column_tuples, rank_of_labels, transform_bits
+from matroidcat.gf2 import gl_column_tuples, rank_of_labels, span_labels, transform_bits
 
 
 @functools.cache
@@ -70,3 +70,30 @@ def test_witness_rejects_every_function_that_agrees_up_to_its_reach(f, data):
     values = f.values[: reach + 1] + tuple(tail)
     g = _complete_to_basis(cols, f.k)
     assert tuple(values[transform_bits(g, j)] for j in range(size)) > values
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5), st.data())
+def test_witness_reach_exactly_when_the_relabelling_is_larger(k, data):
+    size = 1 << k
+    values = tuple(data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size)))
+    cols: list[int] = []
+    for _ in range(data.draw(st.integers(0, k))):
+        span = span_labels(cols)
+        cols.append(data.draw(st.sampled_from([x for x in range(size) if x not in span])))
+    reach = _witness_reach(values, cols)
+    g = _complete_to_basis(cols, k)
+    image = tuple(values[transform_bits(g, x)] for x in range(size))
+    # the columns fix the relabelling on the labels below 2^s; with s = k
+    # that is the whole completed relabelling
+    head = 1 << len(cols)
+    assert (reach is not None) == (image[:head] > values[:head])
+    if reach is not None:
+        assert image > values
+        # every function that agrees with values up to the reach is
+        # rejected by the same relabelling
+        tail = data.draw(
+            st.lists(st.integers(0, 2), min_size=size - 1 - reach, max_size=size - 1 - reach)
+        )
+        other = values[: reach + 1] + tuple(tail)
+        assert tuple(other[transform_bits(g, x)] for x in range(size)) > other

@@ -7,9 +7,10 @@ compares it byte for byte with the SHA-256 in ``perfbench/goldens.json``
 class and each Tutte grid against deletion-contraction.  It runs here from
 the repository root in a fresh interpreter, reading perfbench/ only.
 
-``frontier_digests.json`` holds the SHA-256 of three larger listings, the
-deepest cells of the orderly scan that tier-1 can afford, recorded with the
-scan before witness backjumping.
+``frontier_digests.json`` holds the SHA-256 of four larger listings, the
+deepest cells of the orderly scan that tier-1 can afford.  The first three
+were recorded with the scan before witness backjumping, and simple rank 6 /
+size 12 with the scan before the fill retried its last witnesses.
 """
 
 from __future__ import annotations

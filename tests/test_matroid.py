@@ -294,6 +294,13 @@ def test_dual_parallel_pair_is_self_dual():
     assert PARALLEL_PAIR.dual().matrix == Gf2Matrix.from_rows([[1, 1]])
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(binary_matroids())
+def test_dual_reads_the_null_space_off_the_reduced_matrix(m):
+    # the same rows as a fresh elimination, so every dual listing keeps its bytes
+    assert m.dual().matrix == m.matrix.nullspace_basis()
+
+
 def test_dual_swaps_circuits_and_cocircuits(fano, polygon):
     for m in (fano, polygon, PARALLEL_PAIR):
         assert m.circuits == m.dual().cocircuits
