@@ -124,18 +124,13 @@ def matroid_of_labels(labels: Iterable[int], k: int) -> BinaryMatroid:
     return BinaryMatroid(Gf2Matrix.from_columns(list(labels), k))
 
 
-def compute_flags(
-    m: BinaryMatroid,
-    connected: Optional[bool] = None,
-    dual: Optional[BinaryMatroid] = None,
-) -> str:
-    """The L, S, C, R flags of m, reusing a known connectivity or its dual.
+def compute_flags(m: BinaryMatroid, dual: Optional[BinaryMatroid] = None) -> str:
+    """The L, S, C, R flags of m.
 
     L and S are read off m's columns.  Connectivity (for two or more
     elements) and regularity are invariant under duality, so when m's dual
     is given, C and R are decided on it instead: dual-listing passes the
-    generated side, whose low rank keeps both checks cheap.  connected, when
-    given, is the already known connectivity of m or of its dual.
+    generated side, whose low rank keeps both checks cheap.
     """
     cols = [m.column_of(e) for e in m.ground]
     side = m if dual is None else dual
@@ -145,7 +140,7 @@ def compute_flags(
         flags += "L"
     if loopless and len(set(cols)) == len(cols):
         flags += "S"
-    if side.is_connected() if connected is None else connected:
+    if side.is_connected():
         flags += "C"
     if is_regular(side)[0]:
         flags += "R"
@@ -191,7 +186,6 @@ def _pipeline(
     matroid_class: str,
     regular_only: bool = False,
     with_tutte: bool = False,
-    with_flags: bool = True,
     dualize: bool = False,
 ) -> Iterator[CatalogueEntry]:
     """The catalogue's one generation pipeline, one candidate at a time:
@@ -200,33 +194,23 @@ def _pipeline(
     With dualize, the canonical side has rank n - k; representatives that
     pass the connectivity filter are dualized, and the duals' columns give
     the labels, L, S and the Tutte polynomial.  C and R, invariant under
-    duality, are decided on the generated side.  Without flags, the matroid
-    is built only for a filter, only the properties the filters need are
-    computed, and entries carry no flags.
+    duality, are decided on the generated side.
     """
     base, need_connected = _split_class(matroid_class)
     side = n - k if dualize else k
     for lv in generate(side, n, base):
-        labels, letters, tutte = lv.labels, "", None
-        if with_flags or need_connected or regular_only:
-            m = generated = matroid_of_labels(labels, side)
-            if need_connected and not generated.is_connected():
-                continue
-            if dualize:
-                m = generated.dual()
-                labels = tuple(sorted(m.matrix.columns()))
-            if with_flags:
-                letters = compute_flags(
-                    m,
-                    True if need_connected else None,
-                    generated if dualize else None,
-                )
-            if regular_only and not (
-                "R" in letters if with_flags else is_regular(generated)[0]
-            ):
-                continue
-            if with_tutte:
-                tutte = tutte_by_activities(m)
+        labels, tutte = lv.labels, None
+        m = generated = matroid_of_labels(labels, side)
+        if need_connected and not generated.is_connected():
+            continue
+        if dualize:
+            m = generated.dual()
+            labels = tuple(sorted(m.matrix.columns()))
+        letters = compute_flags(m, generated if dualize else None)
+        if regular_only and "R" not in letters:
+            continue
+        if with_tutte:
+            tutte = tutte_by_activities(m)
         yield CatalogueEntry(k, n, labels, letters, tutte, dualize)
 
 
@@ -323,7 +307,7 @@ def run_counts(
     _guard(max_k, max_n, force)
     if regular_only:
         cells = {
-            (k, n): sum(1 for _ in _pipeline(k, n, matroid_class, True, with_flags=False))
+            (k, n): sum(1 for _ in _pipeline(k, n, matroid_class, True))
             for k in range(1, max_k + 1)
             for n in range(k, max_n + 1)
         }

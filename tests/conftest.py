@@ -5,12 +5,17 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import assume
+from hypothesis import assume, settings
 from hypothesis import strategies as st
 
 from matroidcat.enumeration import generate
 from matroidcat.gf2 import Gf2Matrix, gl_column_tuples, rank_of_labels, transform_bits
 from matroidcat.matroid import BinaryMatroid
+
+# every property test draws the same examples on every run, with no stored
+# failures replayed and no time limit per example
+settings.register_profile("matroidcat", deadline=None, derandomize=True, database=None)
+settings.load_profile("matroidcat")
 
 # The Fano plane: columns are the seven nonzero vectors of GF(2)^3.
 FANO_ROWS = [

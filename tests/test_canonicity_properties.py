@@ -41,7 +41,7 @@ def spanning_functions(draw, max_k=4):
     return MultiplicityFunction(tuple(values), k)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(spanning_functions())
 def test_canonical_exactly_when_orbit_maximum(f):
     orbit_max = max(relabel(f.values) for relabel in _relabellings(f.k))
@@ -56,7 +56,7 @@ def test_canonical_exactly_when_orbit_maximum(f):
         assert image > f.values
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(spanning_functions(max_k=5), st.data())
 def test_witness_rejects_every_function_that_agrees_up_to_its_reach(f, data):
     # the lemma the scan's backjumping rests on
@@ -72,7 +72,7 @@ def test_witness_rejects_every_function_that_agrees_up_to_its_reach(f, data):
     assert tuple(values[transform_bits(g, j)] for j in range(size)) > values
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(st.integers(1, 5), st.data())
 def test_witness_reach_exactly_when_the_relabelling_is_larger(k, data):
     size = 1 << k

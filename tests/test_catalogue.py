@@ -7,6 +7,7 @@ import operator
 import pytest
 
 import matroidcat.catalogue as catalogue
+import matroidcat.regularity as regularity
 from conftest import R10_LABELS, cycle_matroid_of_complete_graph
 from matroidcat.catalogue import (
     CatalogueEntry,
@@ -220,6 +221,7 @@ def test_dual_listing_builds_no_flats(capsys, monkeypatch):
         raise AssertionError("flats were built")
 
     monkeypatch.setattr(BinaryMatroid, "flats_of_corank", no_flats)
+    monkeypatch.setattr(regularity, "echelon_basis", no_flats)
     argv = ["dual-listing", "--rank", "11", "--size", "13", "--class", "connected-loopless"]
     assert main(argv) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -294,7 +294,7 @@ def test_dual_parallel_pair_is_self_dual():
     assert PARALLEL_PAIR.dual().matrix == Gf2Matrix.from_rows([[1, 1]])
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(binary_matroids())
 def test_dual_reads_the_null_space_off_the_reduced_matrix(m):
     # the same rows as a fresh elimination, so every dual listing keeps its bytes
@@ -351,7 +351,7 @@ def test_is_connected_agrees_on_both_sides():
     assert walked == {True, False}
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(binary_matroids())
 def test_is_connected_matches_linked_circuits(m):
     assume(m.size >= 2)

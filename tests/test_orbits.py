@@ -75,7 +75,7 @@ def test_formula_equals_generate(cls, max_k, max_n):
 def test_connected_formula_equals_pipeline(cls):
     counts = class_counts(5, 9, cls == "connected-simple", connected=True)
     for (k, n), count in counts.items():
-        assert count == sum(1 for _ in _pipeline(k, n, cls, with_flags=False)), (k, n)
+        assert count == sum(1 for _ in _pipeline(k, n, cls)), (k, n)
 
 
 def test_frontier_counts_without_enumerating(monkeypatch):

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
-import pytest
+from hypothesis import given, settings
 
+import matroidcat.regularity as regularity
 from conftest import (
     FANO_ALT_ROWS,
     FANO_DUAL_ROWS,
     FANO_ROWS,
+    binary_matroids,
     matroid,
     reference_cases,
 )
-from matroidcat.gf2 import Gf2Matrix
+from matroidcat.gf2 import Gf2Matrix, echelon_basis
 from matroidcat.matroid import BinaryMatroid
 from matroidcat.regularity import FanoWitness, is_fano, is_fano_dual, is_regular
 
@@ -163,17 +165,45 @@ def test_is_regular_matches_built_minors():
     assert verdicts == {"fano", "fano-dual", "regular"}
 
 
-def test_is_regular_builds_no_family_without_seven_survivors(monkeypatch):
+@settings(max_examples=300)
+@given(binary_matroids(max_k=6, max_n=12))
+def test_is_regular_matches_built_minors_on_draws(m):
+    # shuffled columns, loops, parallel classes and coloops; the duals give
+    # the dual-Fano witnesses
+    for side in (m, m.dual()):
+        assert is_regular(side) == is_regular_reference(side), side
+
+
+def test_is_regular_walks_no_subset_without_seven_survivors(monkeypatch):
     # a corank-c flat keeps at most (size - rank) + c elements outside it
-    built = []
-    flats_of_corank = BinaryMatroid.flats_of_corank
-
-    def recording(m, c):
-        built.append((m.size - m.rank + c, c))
-        return flats_of_corank(m, c)
-
-    monkeypatch.setattr(BinaryMatroid, "flats_of_corank", recording)
+    walked = []
     for m in reference_cases():
+
+        def recording(subset, m=m):
+            corank = m.rank - len(subset)
+            walked.append((m.size - m.rank + corank, corank))
+            return echelon_basis(subset)
+
+        monkeypatch.setattr(regularity, "echelon_basis", recording)
         is_regular(m)
-    assert all(survivors >= 7 for survivors, _ in built)
-    assert {c for _, c in built} == {3, 4}
+    assert all(survivors >= 7 for survivors, _ in walked)
+    assert {c for _, c in walked} == {3, 4}
+
+
+def test_is_regular_stops_at_the_witness_basis(monkeypatch, nonregular13):
+    # no family is built, and no subset after the witness's lex-first basis
+    # is reduced
+    walked = []
+
+    def recording(subset):
+        walked.append(subset)
+        return echelon_basis(subset)
+
+    def no_family(*args):
+        raise AssertionError("a family of flats was built")
+
+    monkeypatch.setattr(regularity, "echelon_basis", recording)
+    monkeypatch.setattr(BinaryMatroid, "flats_of_corank", no_family)
+    _, witness = is_regular(nonregular13)
+    basis = _spanning_subset(nonregular13, witness.flat)
+    assert walked[-1] == tuple(nonregular13.column_of(e) for e in basis)

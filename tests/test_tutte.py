@@ -249,7 +249,7 @@ def tutte_by_definition(m):
     return tuple(tuple(row) for row in grid)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(binary_matroids())
 def test_activities_walk_matches_the_definitions(m):
     t = tutte_by_activities(m)
