@@ -36,7 +36,7 @@ from .enumeration import (
     label_vector_of,
     multiplicity_of,
 )
-from .gf2 import Gf2Matrix
+from .gf2 import Gf2Matrix, nullspace_of_reduced
 from .matroid import BinaryMatroid
 from .orbits import class_counts
 from .regularity import is_regular
@@ -124,25 +124,24 @@ def matroid_of_labels(labels: Iterable[int], k: int) -> BinaryMatroid:
     return BinaryMatroid(Gf2Matrix.from_columns(list(labels), k))
 
 
-def compute_flags(m: BinaryMatroid, dual: Optional[BinaryMatroid] = None) -> str:
-    """The L, S, C, R flags of m.
+def compute_flags(labels: tuple[int, ...], m: BinaryMatroid) -> str:
+    """The L, S, C, R flags of the entry whose columns the labels list.
 
-    L and S are read off m's columns.  Connectivity (for two or more
-    elements) and regularity are invariant under duality, so when m's dual
-    is given, C and R are decided on it instead: dual-listing passes the
-    generated side, whose low rank keeps both checks cheap.
+    L and S are read off the labels: no loop (label 0), and no loop and no
+    two labels equal.  C and R are decided on m, the entry's own matroid or
+    its dual: connectivity (for two or more elements) and regularity are
+    invariant under duality, so dual-listing passes the generated side,
+    whose low rank keeps both checks cheap.
     """
-    cols = [m.column_of(e) for e in m.ground]
-    side = m if dual is None else dual
     flags = ""
-    loopless = all(cols)
+    loopless = 0 not in labels
     if loopless:
         flags += "L"
-    if loopless and len(set(cols)) == len(cols):
+    if loopless and len(set(labels)) == len(labels):
         flags += "S"
-    if side.is_connected():
+    if m.is_connected():
         flags += "C"
-    if is_regular(side)[0]:
+    if is_regular(m)[0]:
         flags += "R"
     return flags
 
@@ -191,26 +190,29 @@ def _pipeline(
     """The catalogue's one generation pipeline, one candidate at a time:
     candidate -> canonical -> matroid -> flags -> class filters -> Tutte.
 
-    With dualize, the canonical side has rank n - k; representatives that
-    pass the connectivity filter are dualized, and the duals' columns give
-    the labels, L, S and the Tutte polynomial.  C and R, invariant under
-    duality, are decided on the generated side.
+    With dualize, the canonical side has rank n - k, and each representative
+    that passes the connectivity filter stands for its dual.  The labels are
+    the sorted columns of the null space of its reduced matrix, and L and S
+    are read off them; C and R, invariant under duality, are decided on the
+    generated side, and the Tutte polynomial is the generated side's with
+    x and y swapped (T_M*(x, y) = T_M(y, x)).  No dual matroid is built.
     """
     base, need_connected = _split_class(matroid_class)
     side = n - k if dualize else k
     for lv in generate(side, n, base):
         labels, tutte = lv.labels, None
-        m = generated = matroid_of_labels(labels, side)
-        if need_connected and not generated.is_connected():
+        m = matroid_of_labels(labels, side)
+        if need_connected and not m.is_connected():
             continue
         if dualize:
-            m = generated.dual()
-            labels = tuple(sorted(m.matrix.columns()))
-        letters = compute_flags(m, generated if dualize else None)
+            labels = tuple(sorted(nullspace_of_reduced(m.reduced).columns()))
+        letters = compute_flags(labels, m)
         if regular_only and "R" not in letters:
             continue
         if with_tutte:
             tutte = tutte_by_activities(m)
+            if dualize:
+                tutte = tutte.transpose()
         yield CatalogueEntry(k, n, labels, letters, tutte, dualize)
 
 
@@ -253,11 +255,12 @@ def run_dual_listing(
 
     The low-rank side is generated canonically, filtered by the class, and
     dualized; the emitted label vectors are sorted but generally not the
-    standard representatives, hence the dualized marker.  Connectivity and
-    regularity are decided on the generated side, and L and S read off the
-    duals' columns, so no flat of a rank-k dual is built.  The cost is that
-    of generating the rank-(n-k) side, which the same guard as generate's
-    bounds.
+    standard representatives, hence the dualized marker.  The class filters
+    the generated side: the duals are listed whatever their own L and S.
+    Connectivity and regularity are decided on the generated side, and L
+    and S read off the duals' columns, so no rank-k matroid is built.  The
+    cost is that of generating the rank-(n-k) side, which the same guard as
+    generate's bounds.
 
     With canonicalize, each dual is relabelled to the representative that
     generate emits (enumeration.canonical_form), and the entries are sorted
@@ -374,6 +377,7 @@ def _parser() -> argparse.ArgumentParser:
         dest="matroid_class",
         choices=MATROID_CLASSES,
         required=True,
+        help="class of the generated rank (size - rank) side, not of its duals",
     )
     dl.add_argument("--out")
     dl.add_argument("--canonicalize", action="store_true")

@@ -204,9 +204,10 @@ def _lex_larger_witness_columns(
     tie by definition, so it is taken without a comparison, and the search
     backs up it: at each level t, from the bottom, it tries the other
     children h of the first-path node (e_1, ..., e_t) in increasing order.
-    Below such an h, a full tie is an automorphism a of values with
-    a(e_i) = chosen_i, and an automorphism maps a subtree onto a subtree
-    with every comparison unchanged.  Two rules use that:
+    Below such an h, a full tie is an automorphism a of values whose
+    a(e_i) are the images chosen on its path, and an automorphism maps a
+    subtree onto a subtree with every comparison unchanged.  Two rules use
+    that:
 
     * jump: a fixes e_1, ..., e_t and maps the searched first-path child
       (e_1, ..., e_(t+1)) onto (e_1, ..., e_t, h), so the rest of h's
@@ -221,6 +222,12 @@ def _lex_larger_witness_columns(
     exhaustive search.  Nor does the head filter: level t tries only the
     labels h with values[h] >= values[2^t], since the block of any other h
     is smaller at its first label, values[h ^ 0] against values[2^t].
+
+    One list holds the partial matrix: images[x] is the image of label x,
+    for the labels below 2^t once t images are chosen.  So the images
+    chosen are images[2^i], the span they generate is images[:2^t], and
+    choosing h at level t adds images[2^t : 2^(t+1)] to it.  Only labels
+    below 2^k of values are read, so values may be longer.
     """
     size = 1 << k
     half = size >> 1
@@ -228,9 +235,7 @@ def _lex_larger_witness_columns(
     # labels below half, and each image is its own label
     in_span = bytearray(size)
     in_span[:half] = b"\x01" * half
-    span_list = list(range(half))
     images = list(range(size))
-    chosen = [1 << i for i in range(k - 1)]
     # orbit[x] leads to the least label of x's orbit under the automorphisms
     # found so far
     orbit = list(range(size))
@@ -261,7 +266,7 @@ def _lex_larger_witness_columns(
             if verdict < 0:
                 continue
             if verdict > 0:
-                return tuple(chosen + [h])
+                return tuple(images[1 << i] for i in range(t)) + (h,)
             for m in range(base):
                 images[base + m] = h ^ images[m]
             if t + 1 == k:  # an automorphism: merge its orbits, then jump
@@ -272,16 +277,12 @@ def _lex_larger_witness_columns(
                         y = orbit[y]
                     orbit[max(x, y)] = min(x, y)
                 return ()
-            added = [h ^ x for x in span_list]
+            added = images[base : base << 1]
             for a in added:
                 in_span[a] = 1
-            span_list.extend(added)
-            chosen.append(h)
             hit = search(t + 1, level(t + 1))
             if hit is not None:
                 return hit
-            chosen.pop()
-            del span_list[base:]
             for a in added:
                 in_span[a] = 0
         return None
@@ -294,10 +295,11 @@ def _lex_larger_witness_columns(
         siblings = (h for h in level(t) if h > base and orbit[h] == h)
         hit: tuple[int, ...] | None = ()
         while hit == ():
-            for a in span_list[base:]:
+            # clear the span that the first path, or the last automorphism,
+            # added below this level; every image written at this level or
+            # deeper lies outside <e_1, ..., e_t>, so none is below base
+            for a in images[base:half]:
                 in_span[a] = 0
-            del span_list[base:]
-            del chosen[t:]
             hit = search(t, siblings)
         if hit is not None:
             return hit
@@ -404,12 +406,18 @@ def _orderly_candidates(
     the tuple.  Runs of tuples that differ only near their end are often
     rejected by one relabelling, and the stored witness often reaches less
     far than a fresh one, so its jump skips more.
+
+    The fill keeps only the values and the sum left at each label.  The
+    cap on a value, the value of the last unit label before it, and the
+    number of unit labels still to fill are read off the label itself, and
+    the search at 2^t reads the values in place, as it reads only the labels
+    below 2^t.
     """
     size = 1 << k
     values = [0] * size
     least = [0] * size  # the least value at each label: 1 at the units
-    for j in range(k):
-        least[1 << j] = 1
+    for i in range(k):
+        least[1 << i] = 1
     # the labels whose prefix is tested, and the columns of the last witness
     # found at each
     tested = bytearray(size + 1)
@@ -417,14 +425,14 @@ def _orderly_candidates(
     for t in range(2, k):
         tested[1 << t] = 1
     kept: list[tuple[int, ...] | None] = [None] * (size + 1)
-    # on entering each label: the sum still to place, the cap on its value
-    # (the value of the last unit label) and the unit labels still to fill
+    # on entering each label: the sum still to place
     left = [n] * (size + 1)
-    caps = [top] * (size + 1)
-    units = [k] * (size + 1)
     pos = 1
     while True:
-        r, c, u = left[pos], caps[pos], units[pos]
+        # the j unit labels below pos are filled; the cap on pos's value is
+        # that of the last of them
+        j = (pos - 1).bit_length()
+        r, c, u = left[pos], values[1 << (j - 1)] if j else top, k - j
         # back is the label whose value is lowered next; pos itself when
         # the fill descends with pos's largest value
         if r < u or r > c * (size - pos):
@@ -439,7 +447,7 @@ def _orderly_candidates(
                         yield tuple(values)
                         cols = None if witness is None else witness[0]
                     else:
-                        cols = _restriction_witness(values[:pos], pos.bit_length() - 1)
+                        cols = _restriction_witness(values, j)
                     if cols is not None:
                         kept[pos] = cols
                         reach = _witness_reach(values, cols)
@@ -455,10 +463,7 @@ def _orderly_candidates(
                 return
             values[back] -= 1
             pos = back
-        v = values[pos]
-        left[pos + 1] = left[pos] - v
-        caps[pos + 1] = v if least[pos] else caps[pos]
-        units[pos + 1] = units[pos] - least[pos]
+        left[pos + 1] = left[pos] - values[pos]
         pos += 1
 
 

@@ -264,19 +264,16 @@ class BinaryMatroid:
     # -- connectivity -------------------------------------------------------
 
     def is_connected(self) -> bool:
-        """Single element: not a loop.  Otherwise: the fundamental graph of
-        the pivot basis must be connected (Krogdahl 1977).
+        """The fundamental graph of the pivot basis must be connected
+        (Krogdahl 1977); a matroid of rank 0, empty or all loops, is not.
 
         That graph joins each pivot to the non-basis elements whose column
         has a 1 in its reduced row, so it is connected exactly when the rows
         of the reduced matrix, linked by shared columns, form one class
         whose supports cover the ground set.  A loop lies in no support and
-        a coloop's row shares no column.
+        a coloop's row shares no column, so a single element is connected
+        exactly when it is not a loop.
         """
-        if self.size == 0:
-            return False
-        if self.size == 1:
-            return self.column_of(self.ground[0]) != 0
         if not self.rank:
             return False
         reached, *pending = self.reduced.rows

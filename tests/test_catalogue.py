@@ -65,11 +65,12 @@ def test_from_line_rejects_garbage():
 def test_matroid_of_labels_and_flags():
     k4 = matroid_of_labels((1, 2, 3, 4, 5, 6), 3)
     assert k4.rank == 3 and k4.size == 6
-    assert compute_flags(k4) == "LSCR"
-    assert compute_flags(matroid_of_labels((1, 1), 1)) == "LCR"
+    assert compute_flags((1, 2, 3, 4, 5, 6), k4) == "LSCR"
+    assert compute_flags((1, 1), matroid_of_labels((1, 1), 1)) == "LCR"
     # a loop kills L, S and C, but a rank-1 matroid is still regular
-    assert compute_flags(matroid_of_labels((0, 1), 1)) == "R"
-    assert compute_flags(matroid_of_labels((1, 2, 3, 4, 5, 6, 7), 3)) == "LSC"
+    assert compute_flags((0, 1), matroid_of_labels((0, 1), 1)) == "R"
+    fano = (1, 2, 3, 4, 5, 6, 7)
+    assert compute_flags(fano, matroid_of_labels(fano, 3)) == "LSC"
 
 
 def test_generate_rank3_size4_golden_lines():
@@ -210,7 +211,7 @@ def test_dual_listing_flags_match_direct_flags():
         (6, 10, "connected-loopless"),
     ):
         for e in run_dual_listing(k, n, matroid_class, out="/dev/null"):
-            assert e.flags == compute_flags(matroid_of_labels(e.labels, k)), e
+            assert e.flags == compute_flags(e.labels, matroid_of_labels(e.labels, k)), e
             flags.add(e.flags)
     assert any("R" not in f for f in flags)
     assert any("C" not in f for f in flags)
@@ -220,8 +221,12 @@ def test_dual_listing_builds_no_flats(capsys, monkeypatch):
     def no_flats(*args, **kwargs):
         raise AssertionError("flats were built")
 
+    def no_dual(*args, **kwargs):
+        raise AssertionError("a dual matroid was built")
+
     monkeypatch.setattr(BinaryMatroid, "flats_of_corank", no_flats)
     monkeypatch.setattr(regularity, "echelon_basis", no_flats)
+    monkeypatch.setattr(BinaryMatroid, "dual", no_dual)
     argv = ["dual-listing", "--rank", "11", "--size", "13", "--class", "connected-loopless"]
     assert main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -234,6 +239,18 @@ def test_dual_listing_builds_no_flats(capsys, monkeypatch):
     assert main(argv + ["--force"]) == 0
     labels = ",".join(str(1 << j) for j in range(17)) + f",{(1 << 17) - 1}"
     assert capsys.readouterr().out == f"k=17 n=18 r=({labels}) flags=LSCR dualized\n"
+
+
+def test_dualized_pipeline_tutte_is_that_of_each_listed_dual():
+    # the grid is the generated side's, transposed; no caller of the
+    # pipeline asks for both, so it is checked here directly
+    for k, n, matroid_class in ((4, 7, "loopless"), (6, 9, "connected-loopless")):
+        entries = list(
+            catalogue._pipeline(k, n, matroid_class, with_tutte=True, dualize=True)
+        )
+        assert entries
+        for e in entries:
+            assert e.tutte.grid == tutte_by_activities(matroid_of_labels(e.labels, k)).grid
 
 
 def test_dual_listing_canonicalize_recovers_standard_representatives():

@@ -7,6 +7,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import orbit_count
 from matroidcat import enumeration
@@ -483,6 +485,27 @@ def test_pruned_search_matches_unpruned_search():
         assert _lex_larger_witness_columns(values, k) == expected, (values, k)
         canonical += expected is None
     assert 0 < canonical < len(inputs)
+
+
+@settings(max_examples=400)
+@given(st.integers(1, 5), st.data())
+def test_pruned_search_matches_unpruned_search_on_any_function(k, data):
+    # not only scan candidates: any values, loops and non-spanning supports
+    # included; and a search on GF(2)^t reads no label at or above 2^t
+    size = 1 << k
+    values = tuple(data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size)))
+    if len(set(values[1:])) == 1:
+        # every relabelling ties, and the unpruned search would walk all
+        # |GL(k, 2)| leaves to find that out (about 10^7 at k = 5)
+        expected = None
+    else:
+        expected = _unpruned_witness_columns(values, k)
+    assert _lex_larger_witness_columns(values, k) == expected
+    t = data.draw(st.integers(1, k))
+    if t < k:
+        assert _lex_larger_witness_columns(values, t) == _lex_larger_witness_columns(
+            values[: 1 << t], t
+        )
 
 
 def test_search_on_projective_geometry_stays_small():

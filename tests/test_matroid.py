@@ -319,6 +319,8 @@ def test_is_connected():
     # one element: connected iff it is not a loop
     assert BinaryMatroid(Gf2Matrix.from_rows([[1]])).is_connected()
     assert not BinaryMatroid(Gf2Matrix([], 1)).is_connected()
+    # the empty matroid is not connected
+    assert not BinaryMatroid(Gf2Matrix([], 0)).is_connected()
 
 
 def test_is_connected_with_coloop(polygon):
