@@ -1,5 +1,9 @@
 """Catalogue assembly and the command line interface.
 
+Each subcommand is its ``run_*`` function plus its options, each option
+declared once in ``_parser``; ``main`` calls the runner with the parsed
+options as keywords (``counts`` prints through ``_print_counts``).
+
 Subcommands:
 
 * ``generate``: orderly generation for one (rank, size) cell, optional
@@ -24,8 +28,9 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional
 
 from .enumeration import (
@@ -61,6 +66,14 @@ class UnwritableOutput(Exception):
     """The output file cannot be opened for writing."""
 
 
+# a catalogue line: the fields, order and flag letters that to_line writes
+_LINE = re.compile(
+    r"k=(\d+) n=(\d+) r=\((\d+(?:,\d+)*)\) flags=(L?S?C?R?)"
+    r"(?: tutte=(\d+(?:[,;]\d+)*))?( dualized)?",
+    re.ASCII,
+)
+
+
 @dataclass(frozen=True)
 class CatalogueEntry:
     rank: int
@@ -71,52 +84,36 @@ class CatalogueEntry:
     dualized: bool = False
 
     def to_line(self) -> str:
-        parts = [
-            f"k={self.rank}",
-            f"n={self.size}",
-            "r=(" + ",".join(str(r) for r in self.labels) + ")",
-            f"flags={self.flags}",
-        ]
+        labels = ",".join(map(str, self.labels))
+        line = f"k={self.rank} n={self.size} r=({labels}) flags={self.flags}"
         if self.tutte is not None:
-            parts.append(
-                "tutte="
-                + ";".join(
-                    ",".join(str(c) for c in row) for row in self.tutte.grid
-                )
-            )
+            rows = (",".join(map(str, row)) for row in self.tutte.grid)
+            line += " tutte=" + ";".join(rows)
         if self.dualized:
-            parts.append("dualized")
-        return " ".join(parts)
+            line += " dualized"
+        return line
 
     @classmethod
     def from_line(cls, line: str) -> "CatalogueEntry":
-        rank = size = None
-        labels: tuple[int, ...] = ()
-        flags = ""
-        tutte = None
-        dualized = False
-        for token in line.split():
-            if token.startswith("k="):
-                rank = int(token[2:])
-            elif token.startswith("n="):
-                size = int(token[2:])
-            elif token.startswith("r=("):
-                labels = tuple(int(t) for t in token[3:-1].split(","))
-            elif token.startswith("flags="):
-                flags = token[6:]
-            elif token.startswith("tutte="):
-                grid = tuple(
-                    tuple(int(c) for c in row.split(","))
-                    for row in token[6:].split(";")
-                )
-                tutte = TuttePolynomial(grid)
-            elif token == "dualized":
-                dualized = True
-            else:
-                raise ValueError(f"unrecognized token {token!r}")
-        if rank is None or size is None:
-            raise ValueError("line is missing k= or n=")
-        return cls(rank, size, labels, flags, tutte, dualized)
+        """The entry of a line that to_line writes; ValueError on any other:
+        n non-decreasing labels below 2^k (label 0 is a loop), and a Tutte
+        grid, if any, of (k + 1) x (n - k + 1) coefficients."""
+        match = _LINE.fullmatch(line)
+        if match is None:
+            raise ValueError(f"malformed catalogue line {line!r}")
+        k, n, labels, flags, grid, dualized = match.groups()
+        k, n, labels = int(k), int(n), tuple(map(int, labels.split(",")))
+        tutte = grid and TuttePolynomial(
+            tuple(tuple(map(int, row.split(","))) for row in grid.split(";"))
+        )
+        entry = cls(k, n, labels, flags, tutte, bool(dualized))
+        if len(labels) != n or list(labels) != sorted(labels) or labels[-1] >> k:
+            raise ValueError(f"{line!r} does not list {n} sorted labels below 2^{k}")
+        if tutte and (tutte.max_x, tutte.max_y) != (k, n - k):
+            raise ValueError(f"{line!r} has a Tutte grid of the wrong shape")
+        if entry.to_line() != line:
+            raise ValueError(f"{line!r} writes a number with a leading zero")
+        return entry
 
 
 def matroid_of_labels(labels: Iterable[int], k: int) -> BinaryMatroid:
@@ -278,15 +275,11 @@ def run_dual_listing(
     _check_out(out)
     entries = list(_pipeline(k, n, matroid_class, dualize=True))
     if canonicalize:
-        entries = sorted(
-            (
-                CatalogueEntry(
-                    e.rank, e.size, _canonical_labels(e.labels, k), e.flags, e.tutte
-                )
-                for e in entries
-            ),
-            key=lambda e: e.labels,
-        )
+        entries = [
+            replace(e, labels=_canonical_labels(e.labels, k), dualized=False)
+            for e in entries
+        ]
+        entries.sort(key=lambda e: e.labels)
     _write_entries(entries, out)
     return entries
 
@@ -317,20 +310,12 @@ def run_counts(
     else:
         base, connected = _split_class(matroid_class)
         cells = class_counts(max_k, max_n, base == "simple", connected)
-    width = max(
-        [len(str(v)) for v in cells.values()]
-        + [len(str(max_n)), len(f"k={max_k}")]
-    )
-    header = " ".join(
-        ["k\\n".rjust(width)] + [str(n).rjust(width) for n in range(1, max_n + 1)]
-    )
-    lines = [header]
-    for k in range(1, max_k + 1):
-        row = [f"k={k}".rjust(width)] + [
-            str(cells.get((k, n), 0)).rjust(width) for n in range(1, max_n + 1)
-        ]
-        lines.append(" ".join(row))
-    return "\n".join(lines) + "\n"
+    rows = [["k\\n", *map(str, range(1, max_n + 1))]] + [
+        [f"k={k}", *(str(cells.get((k, n), 0)) for n in range(1, max_n + 1))]
+        for k in range(1, max_k + 1)
+    ]
+    width = max(len(s) for row in rows for s in row)
+    return "".join(" ".join(s.rjust(width) for s in row) + "\n" for row in rows)
 
 
 def _write_entries(entries: list[CatalogueEntry], out: Optional[str]) -> None:
@@ -342,94 +327,74 @@ def _write_entries(entries: list[CatalogueEntry], out: Optional[str]) -> None:
             fh.write(text)
 
 
+def _print_counts(**options) -> None:
+    sys.stdout.write(run_counts(**options))
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command line parser, built on the first call and then reused:
-    parse_args starts every call from a fresh namespace."""
+    parse_args starts every call from a fresh namespace.
+
+    Each subcommand is its runner plus its options.  set_defaults binds the
+    runner once, when the cached parser is first built, and the dest of
+    each option is the keyword under which the runner takes it.
+    """
     parser = argparse.ArgumentParser(
         prog="matroidcat",
         description="Catalogue of small binary matroids: generation, "
         "regularity, Tutte polynomials.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("generate", help="generate one (rank, size) cell")
-    gen.add_argument("--rank", type=int, required=True)
-    gen.add_argument("--size", type=int, required=True)
-    gen.add_argument(
-        "--class",
-        dest="matroid_class",
-        choices=MATROID_CLASSES,
-        required=True,
-    )
-    gen.add_argument("--regular-only", action="store_true")
-    gen.add_argument("--tutte", action="store_true")
-    gen.add_argument("--out")
-    gen.add_argument("--force", action="store_true")
-
-    dl = sub.add_parser(
-        "dual-listing", help="list a high rank by dualizing the low-rank side"
-    )
-    dl.add_argument("--rank", type=int, required=True)
-    dl.add_argument("--size", type=int, required=True)
-    dl.add_argument(
-        "--class",
-        dest="matroid_class",
-        choices=MATROID_CLASSES,
-        required=True,
-        help="class of the generated rank (size - rank) side, not of its duals",
-    )
-    dl.add_argument("--out")
-    dl.add_argument("--canonicalize", action="store_true")
-    dl.add_argument("--force", action="store_true")
-
-    cnt = sub.add_parser("counts", help="print a table of class counts")
-    cnt.add_argument("--max-rank", type=int, required=True)
-    cnt.add_argument("--max-size", type=int, required=True)
-    cnt.add_argument(
-        "--class",
-        dest="matroid_class",
-        choices=MATROID_CLASSES,
-        required=True,
-    )
-    cnt.add_argument("--regular-only", action="store_true")
-    cnt.add_argument("--force", action="store_true")
-
+    options = {
+        "--rank": dict(dest="k", metavar="RANK", type=int, required=True),
+        "--size": dict(dest="n", metavar="SIZE", type=int, required=True),
+        "--max-rank": dict(dest="max_k", metavar="MAX_RANK", type=int, required=True),
+        "--max-size": dict(dest="max_n", metavar="MAX_SIZE", type=int, required=True),
+        "--class": dict(dest="matroid_class", choices=MATROID_CLASSES, required=True),
+        "--regular-only": dict(action="store_true"),
+        "--tutte": dict(dest="with_tutte", action="store_true"),
+        "--out": {},
+        "--canonicalize": dict(action="store_true"),
+        "--force": dict(action="store_true"),
+    }
+    helps = {
+        ("dual-listing", "--class"): "class of the generated rank (size - rank) side, "
+        "not of its duals",
+    }
+    for name, run, summary, flags in (
+        (
+            "generate",
+            run_generate,
+            "generate one (rank, size) cell",
+            "--rank --size --class --regular-only --tutte --out --force",
+        ),
+        (
+            "dual-listing",
+            run_dual_listing,
+            "list a high rank by dualizing the low-rank side",
+            "--rank --size --class --out --canonicalize --force",
+        ),
+        (
+            "counts",
+            _print_counts,
+            "print a table of class counts",
+            "--max-rank --max-size --class --regular-only --force",
+        ),
+    ):
+        command = sub.add_parser(name, help=summary)
+        command.set_defaults(run=run)
+        for flag in flags.split():
+            command.add_argument(flag, help=helps.get((name, flag)), **options[flag])
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    options = vars(_parser().parse_args(argv))
+    del options["command"]
+    run = options.pop("run")
     try:
-        if args.command == "generate":
-            run_generate(
-                args.rank,
-                args.size,
-                args.matroid_class,
-                regular_only=args.regular_only,
-                with_tutte=args.tutte,
-                out=args.out,
-                force=args.force,
-            )
-        elif args.command == "dual-listing":
-            run_dual_listing(
-                args.rank,
-                args.size,
-                args.matroid_class,
-                out=args.out,
-                canonicalize=args.canonicalize,
-                force=args.force,
-            )
-        else:
-            sys.stdout.write(
-                run_counts(
-                    args.max_rank,
-                    args.max_size,
-                    args.matroid_class,
-                    regular_only=args.regular_only,
-                    force=args.force,
-                )
-            )
+        run(**options)
     except (InvalidShape, UnwritableOutput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -219,8 +219,7 @@ def tutte_by_deletion_contraction(m: BinaryMatroid) -> TuttePolynomial:
     memo: dict[tuple[int, tuple[int, ...]], dict[tuple[int, int], int]] = {}
 
     def recurse(mat: BinaryMatroid) -> dict[tuple[int, int], int]:
-        reduced, _ = mat.matrix.rref()
-        key = (mat.rank, tuple(sorted(reduced.columns())))
+        key = (mat.rank, tuple(sorted(mat.reduced.columns())))
         hit = memo.get(key)
         if hit is not None:
             return hit

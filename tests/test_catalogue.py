@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,15 +56,44 @@ def test_entry_round_trip():
         CatalogueEntry(3, 4, (1, 2, 4, 7), "LSCR"),
         CatalogueEntry(1, 2, (1, 1), "LCR", TuttePolynomial(((0, 1), (1, 0)))),
         CatalogueEntry(4, 5, (1, 2, 4, 8, 15), "LSCR", None, True),
+        CatalogueEntry(3, 4, (0, 1, 2, 4), "", None, True),
     ):
         assert CatalogueEntry.from_line(entry.to_line()) == entry
+    for entries in (
+        run_generate(4, 8, "loopless", with_tutte=True, out="/dev/null"),
+        run_dual_listing(4, 7, "loopless", out="/dev/null"),
+        run_dual_listing(7, 10, "connected-loopless", out="/dev/null", canonicalize=True),
+    ):
+        assert entries
+        for entry in entries:
+            assert CatalogueEntry.from_line(entry.to_line()) == entry
 
 
 def test_from_line_rejects_garbage():
-    with pytest.raises(ValueError):
-        CatalogueEntry.from_line("k=1 n=1 r=(1) flags=L wat")
-    with pytest.raises(ValueError):
-        CatalogueEntry.from_line("r=(1) flags=L")
+    # each line differs from one that to_line writes in one field
+    valid = "k=3 n=4 r=(1,2,4,7) flags=LSCR tutte=0,1;1,0;1,0;1,0 dualized"
+    assert CatalogueEntry.from_line(valid).to_line() == valid
+    for line in (
+        "k=1 n=1 r=(1) flags=L wat",
+        "r=(1) flags=L",
+        "k=3 n=4",
+        "k=3 n=4 r=(1,2) flags=LS",
+        "k=3 n=4 r=(1,2,4,9) flags=LS",
+        "k=3 n=4 r=(1,2,4,7) flags=XYZ",
+        "k=3 n=4 r=(1,2,4,7) flags=SL",
+        "k=3 n=4 r=(1,2,4,7) flags=LSCR tutte=1",
+        "k=3 n=4 r=(1,2,4,7) flags=LSCR tutte=0,1;1,0;1,0;1",
+        "k=3 n=4 r=(1,2,4,7) flags=LSCR k=5",
+        "n=4 k=3 flags=LSCR r=(7,4,2,1)",
+        "k=3 n=4 r=(7,4,2,1) flags=LSCR",
+        "k=3 n=4 r=(1,2,04,7) flags=LSCR",
+        "k=3 n=4 r=(1,2,4,\N{ARABIC-INDIC DIGIT SEVEN}) flags=LSCR",
+        "k=3 n=4 r=(1,2,4,7) flags=LSCR dualized tutte=0,1;1,0;1,0;1,0",
+        "k=3  n=4 r=(1,2,4,7) flags=LSCR",
+        "k=3 n=4 r=(1,2,4,7) flags=LSCR ",
+    ):
+        with pytest.raises(ValueError):
+            CatalogueEntry.from_line(line)
 
 
 def test_matroid_of_labels_and_flags():
@@ -433,8 +467,77 @@ def test_cli_force_override(capsys):
 
 
 def test_cli_rejects_unknown_class(capsys):
-    with pytest.raises(SystemExit):
-        main(["generate", "--rank", "2", "--size", "2", "--class", "graphic"])
+    for command, bounds in (
+        ("generate", ["--rank", "2", "--size", "2"]),
+        ("dual-listing", ["--rank", "2", "--size", "3"]),
+        ("counts", ["--max-rank", "2", "--max-size", "2"]),
+    ):
+        for cls in (["--class", "graphic"], []):
+            with pytest.raises(SystemExit) as exc:
+                main([command, *bounds, *cls])
+            assert exc.value.code == 2, (command, cls)
+            assert "--class" in capsys.readouterr().err
+
+
+def test_cli_surface():
+    # the options and metavars of each subcommand, in the order --help lists
+    (subcommands,) = [
+        action.choices
+        for action in catalogue._parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    classes = "{" + ",".join(MATROID_CLASSES) + "}"
+    for command, options, usage in (
+        (
+            "generate",
+            "--rank --size --class --regular-only --tutte --out --force",
+            f"--rank RANK --size SIZE --class {classes} [--regular-only] [--tutte] "
+            "[--out OUT] [--force]",
+        ),
+        (
+            "dual-listing",
+            "--rank --size --class --out --canonicalize --force",
+            f"--rank RANK --size SIZE --class {classes} [--out OUT] [--canonicalize] "
+            "[--force]",
+        ),
+        (
+            "counts",
+            "--max-rank --max-size --class --regular-only --force",
+            f"--max-rank MAX_RANK --max-size MAX_SIZE --class {classes} "
+            "[--regular-only] [--force]",
+        ),
+    ):
+        parser = subcommands[command]
+        accepted = {s for action in parser._actions for s in action.option_strings}
+        assert accepted == {"-h", "--help", *options.split()}, command
+        # argparse wraps the usage line at the terminal width
+        assert " ".join(parser.format_usage().split()) == (
+            f"usage: matroidcat {command} [-h] {usage}"
+        )
+    assert set(subcommands) == {"generate", "dual-listing", "counts"}
+
+
+def test_module_entry_point(capsys):
+    # python -m matroidcat passes main's output and exit codes through
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "matroidcat", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    argv = ["generate", "--rank", "3", "--size", "5", "--class", "loopless", "--tutte"]
+    proc = run(*argv)
+    assert main(argv) == 0
+    assert proc.returncode == 0 and proc.stdout == capsys.readouterr().out != ""
+    proc = run("generate", "--rank", "4", "--size", "3", "--class", "simple")
+    assert proc.returncode == 2 and proc.stderr.startswith("error: ")
+    proc = run("generate", "--rank", "1", "--size", "16", "--class", "loopless")
+    assert proc.returncode == 3 and "--force" in proc.stderr
 
 
 def test_cli_internal_value_error_propagates(monkeypatch):
