@@ -5,8 +5,13 @@ coordinate ``i``, so coordinate 1 is the least significant bit.  All public
 indices (rows, columns, coordinates) are 1-based; the 0-based bit positions
 never leak out of this module.  Addition is XOR, the scalar product is the
 parity of AND.  Everything here is a pure function on immutable values.
-Hot loops skip the vector and matrix objects: ``echelon_basis`` and
-``reduce_bits`` eliminate on bare bitmasks.
+
+Two eliminations do all the work.  ``Gf2Matrix.rref`` gives the reduced
+row echelon form with leftmost pivots; ``nullspace_basis`` reads the null
+space off it through ``nullspace_of_reduced``.  ``echelon_basis`` and
+``reduce_bits`` eliminate on bare bitmasks, skipping the vector and matrix
+objects: ``rank``, ``rank_of_labels``, ``row_space`` and ``solve_in_basis``
+are built on them.
 """
 
 from __future__ import annotations
@@ -24,6 +29,19 @@ class NotInSpan(Exception):
 
 def _parity(x: int) -> int:
     return bin(x).count("1") & 1
+
+
+def _transpose(vectors: Sequence[int], length: int) -> list[int]:
+    """The transpose of bitmask vectors of the given length: bit j of entry
+    i of the result is bit i of vectors[j]."""
+    out = [0] * length
+    for j, v in enumerate(vectors):
+        bit = 1 << j
+        while v:
+            low = v & -v
+            out[low.bit_length() - 1] |= bit
+            v ^= low
+    return out
 
 
 class Gf2Vector:
@@ -123,14 +141,10 @@ class Gf2Matrix:
     @classmethod
     def from_columns(cls, columns: Sequence[int], nrows: int) -> "Gf2Matrix":
         """Build from column bitmasks (bit i-1 of a column = entry in row i)."""
-        rows = [0] * nrows
-        for j, c in enumerate(columns):
+        for c in columns:
             if c < 0 or c >> nrows:
                 raise ValueError(f"column 0x{c:x} does not fit in {nrows} rows")
-            for i in range(nrows):
-                if (c >> i) & 1:
-                    rows[i] |= 1 << j
-        return cls(rows, len(columns))
+        return cls(_transpose(columns, nrows), len(columns))
 
     @classmethod
     def identity(cls, k: int) -> "Gf2Matrix":
@@ -142,6 +156,8 @@ class Gf2Matrix:
         return Gf2Vector(self.rows[i - 1], self.ncols)
 
     def entry(self, i: int, j: int) -> int:
+        if not 1 <= i <= self.nrows:
+            raise IndexError(f"row {i} out of range 1..{self.nrows}")
         if not 1 <= j <= self.ncols:
             raise IndexError(f"column {j} out of range 1..{self.ncols}")
         return (self.rows[i - 1] >> (j - 1)) & 1
@@ -157,7 +173,7 @@ class Gf2Matrix:
 
     def columns(self) -> tuple[int, ...]:
         """All columns as bitmasks, left to right."""
-        return tuple(self.column_bits(j) for j in range(1, self.ncols + 1))
+        return tuple(_transpose(self.rows, self.ncols))
 
     def entries(self) -> list[list[int]]:
         return [list(self.row(i).entries()) for i in range(1, self.nrows + 1)]
@@ -205,7 +221,7 @@ class Gf2Matrix:
 
     def rank(self) -> int:
         """Dimension of the row space."""
-        return len(self.rref()[1])
+        return rank_of_labels(self.rows)
 
     def nullspace_basis(self) -> "Gf2Matrix":
         """Basis of the orthogonal complement of the row space.
@@ -213,24 +229,12 @@ class Gf2Matrix:
         Returns an (n - rank) x n matrix; every returned row has zero scalar
         product with every row of self.
         """
-        reduced, pivot_cols = self.rref()
-        pivset = set(pivot_cols)
-        free_cols = [j for j in range(1, self.ncols + 1) if j not in pivset]
-        basis = []
-        for fc in free_cols:
-            v = 1 << (fc - 1)
-            # pivot row r handles pivot column pivot_cols[r]; copy its entry at fc
-            for r, pc in enumerate(pivot_cols):
-                if (reduced.rows[r] >> (fc - 1)) & 1:
-                    v |= 1 << (pc - 1)
-            basis.append(v)
-        return Gf2Matrix(basis, self.ncols)
+        return nullspace_of_reduced(self.rref()[0])
 
     def row_space(self) -> list[Gf2Vector]:
         """All 2^rank distinct vectors of the row span, zero vector first."""
-        basis = [r for r in self.rref()[0].rows if r]
         span = [0]
-        for b in basis:
+        for b in echelon_basis(self.rows):
             span += [b ^ x for x in span]
         return [Gf2Vector(x, self.ncols) for x in span]
 
@@ -260,37 +264,23 @@ class Gf2Matrix:
 def solve_in_basis(basis_cols: Gf2Matrix, target: Gf2Vector) -> Gf2Vector:
     """Coefficients c with basis_cols . c = target, for independent columns.
 
-    Raises NotInSpan if the target is outside the column span.
+    Raises NotInSpan if the target is outside the column span.  Column j is
+    tagged with bit j below its entries, so every vector of the echelon
+    basis of the tagged columns records which columns it sums; one with no
+    entry bits left is a dependence.  The target, shifted above the tags,
+    reduces to its coefficients when it lies in the span.
     """
-    k, m = basis_cols.nrows, basis_cols.ncols
-    if target.length != k:
+    m = basis_cols.ncols
+    if target.length != basis_cols.nrows:
         raise ValueError("target length must equal the number of rows")
-    # eliminate on rows of the augmented system (columns | target); the
-    # pivot count r is the rank of the columns
-    aug = [(basis_cols.rows[i], (target.bits >> i) & 1) for i in range(k)]
-    coeffs = 0
-    r = 0
-    for j in range(m):
-        bit = 1 << j
-        p = next((i for i in range(r, k) if aug[i][0] & bit), None)
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        for i in range(k):
-            if i != r and aug[i][0] & bit:
-                aug[i] = (aug[i][0] ^ aug[r][0], aug[i][1] ^ aug[r][1])
-        r += 1
-    if r != m:
+    tagged = [c << m | 1 << j for j, c in enumerate(basis_cols.columns())]
+    echelon = echelon_basis(tagged)
+    if echelon and echelon[-1] >> m == 0:
         raise ValueError("basis columns are not linearly independent")
-    for row, rhs in aug:
-        if row == 0 and rhs:
-            raise NotInSpan("target is not in the span of the basis columns")
-    # after full reduction each pivot row is a unit row: coefficient = rhs
-    for i in range(r):
-        row, rhs = aug[i]
-        if rhs:
-            coeffs |= row
-    return Gf2Vector(coeffs, m)
+    residue = reduce_bits(target.bits << m, echelon)
+    if residue >> m:
+        raise NotInSpan("target is not in the span of the basis columns")
+    return Gf2Vector(residue, m)
 
 
 def nullspace_of_reduced(reduced: Gf2Matrix) -> Gf2Matrix:

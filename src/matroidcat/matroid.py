@@ -245,15 +245,14 @@ class BinaryMatroid:
         return BinaryMatroid(Gf2Matrix(new_rows, len(ground)), ground)
 
     def delete(self, subset: Iterable[int]) -> "BinaryMatroid":
-        """Remove elements; the row space is re-reduced in case rank drops."""
+        """Remove elements; the rows become an echelon basis of the row space
+        in case rank drops."""
         gone = frozenset(subset)
         if not gone <= set(self.ground):
             raise ValueError("deletion set must lie inside the ground set")
         survivors = tuple(e for e in self.ground if e not in gone)
         cols = [self.column_of(e) for e in survivors]
-        stacked = Gf2Matrix.from_columns(cols, self.rank)
-        reduced, pivots = stacked.rref()
-        rows = reduced.rows[: len(pivots)]
+        rows = echelon_basis(Gf2Matrix.from_columns(cols, self.rank).rows)
         return BinaryMatroid(Gf2Matrix(rows, len(survivors)), survivors)
 
     def dual(self) -> "BinaryMatroid":

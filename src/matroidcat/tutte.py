@@ -81,6 +81,8 @@ class TuttePolynomial:
     @classmethod
     def from_block(cls, text: str) -> "TuttePolynomial":
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("block has no header line")
         k, n = (int(tok) for tok in lines[0].split())
         rows = [tuple(int(tok) for tok in ln.split()) for ln in lines[1:]]
         if len(rows) != k + 1 or any(len(r) != n - k + 1 for r in rows):
@@ -259,9 +261,7 @@ def count_independent_sets(m: BinaryMatroid) -> int:
         nonlocal count
         count += 1
         for nxt in range(idx, len(cols)):
-            c = cols[nxt]
-            for b in pivots:
-                c = min(c, c ^ b)
+            c = reduce_bits(cols[nxt], pivots)
             if c:
                 pivots.append(c)
                 pivots.sort(reverse=True)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FANO_DUAL_ROWS, FANO_ROWS, PIVOTED_BLOCK_ROWS, STANDARD_BLOCK_ROWS
 from matroidcat.gf2 import (
@@ -14,6 +16,7 @@ from matroidcat.gf2 import (
     PivotOnZero,
     gl_column_tuples,
     gl_group_order,
+    nullspace_of_reduced,
     rank_of_labels,
     solve_in_basis,
     span_labels,
@@ -25,6 +28,14 @@ def _random_matrix(rng: random.Random, nrows: int, ncols: int) -> Gf2Matrix:
     return Gf2Matrix(
         [rng.getrandbits(ncols) for _ in range(nrows)], ncols
     )
+
+
+@st.composite
+def gf2_matrices(draw, max_rows: int = 6, max_cols: int = 9) -> Gf2Matrix:
+    """Any k x n matrix, zero rows and repeated rows included."""
+    ncols = draw(st.integers(0, max_cols))
+    rows = draw(st.lists(st.integers(0, (1 << ncols) - 1), max_size=max_rows))
+    return Gf2Matrix(rows, ncols)
 
 
 def test_vector_entries_round_trip():
@@ -63,6 +74,20 @@ def test_matrix_constructors_agree():
     ]
 
 
+def test_entry_checks_both_indices():
+    m = Gf2Matrix.from_rows([[1, 0, 1], [0, 1, 1]])
+    assert m.entry(1, 3) == 1 and m.entry(2, 1) == 0
+    for i, j in ((0, 2), (-1, 2), (3, 1), (1, 0), (1, 4)):
+        with pytest.raises(IndexError, match="out of range"):
+            m.entry(i, j)
+
+
+@given(gf2_matrices())
+def test_columns_round_trip(m):
+    assert Gf2Matrix.from_columns(m.columns(), m.nrows) == m
+    assert m.columns() == tuple(m.column_bits(j) for j in range(1, m.ncols + 1))
+
+
 def test_rank_examples():
     assert Gf2Matrix.from_rows(FANO_ROWS).rank() == 3
     assert Gf2Matrix([0, 0], 5).rank() == 0
@@ -76,6 +101,19 @@ def test_rref_prefers_leftmost_pivots():
     assert reduced.entries() == [[1, 0, 1], [0, 1, 1]]
 
 
+@given(gf2_matrices())
+def test_rref_is_idempotent_with_unit_pivot_columns(m):
+    reduced, pivots = m.rref()
+    assert reduced.rref() == (reduced, pivots)
+    assert span_labels(reduced.rows) == span_labels(m.rows)
+    assert m.rank() == len(pivots) and list(pivots) == sorted(pivots)
+    for r, p in enumerate(pivots):
+        assert reduced.column_bits(p) == 1 << r
+        # leftmost: the pivot is the row's first nonzero entry
+        assert reduced.rows[r] & ((1 << (p - 1)) - 1) == 0
+    assert not any(reduced.rows[len(pivots):])
+
+
 def test_nullspace_is_orthogonal_complement():
     m = Gf2Matrix.from_rows(FANO_ROWS)
     ns = m.nullspace_basis()
@@ -86,6 +124,17 @@ def test_nullspace_is_orthogonal_complement():
     # spans the same space as the known dual representation
     dual = Gf2Matrix.from_rows(FANO_DUAL_ROWS)
     assert set(ns.row_space()) == set(dual.row_space())
+
+
+@given(gf2_matrices())
+def test_nullspace_basis_is_orthogonal_of_full_size(m):
+    ns = m.nullspace_basis()
+    assert ns.ncols == m.ncols
+    assert ns.nrows == ns.rank() == m.ncols - m.rank()
+    for v in ns.rows:
+        for r in m.rows:
+            assert not bin(v & r).count("1") & 1
+    assert ns == nullspace_of_reduced(m.rref()[0])
 
 
 def test_nullspace_trivial_cases():
@@ -102,6 +151,14 @@ def test_row_space():
     assert {v.entries() for v in eye.row_space()} == {
         (0, 0), (0, 1), (1, 0), (1, 1),
     }
+
+
+@given(gf2_matrices())
+def test_row_space_is_the_span_of_the_rows(m):
+    space = m.row_space()
+    assert space[0] == Gf2Vector(0, m.ncols)
+    assert len(space) == 1 << m.rank()
+    assert set(space) == {Gf2Vector(x, m.ncols) for x in span_labels(m.rows)}
 
 
 def test_row_space_closed_under_xor():
@@ -218,6 +275,24 @@ def test_solve_in_basis_random_round_trip():
                 target ^= c
         sol = solve_in_basis(basis, Gf2Vector(target, k))
         assert sol.bits == coeff
+
+
+@settings(max_examples=300)
+@given(gf2_matrices(max_rows=4, max_cols=4), st.data())
+def test_solve_in_basis_matches_its_definition(basis, data):
+    target = data.draw(st.integers(0, (1 << basis.nrows) - 1))
+    cols = basis.columns()
+    if rank_of_labels(cols) < len(cols):
+        # dependence is reported first, whether or not the target is in span
+        with pytest.raises(ValueError, match="not linearly independent"):
+            solve_in_basis(basis, Gf2Vector(target, basis.nrows))
+    elif target in span_labels(cols):
+        coeffs = solve_in_basis(basis, Gf2Vector(target, basis.nrows))
+        assert coeffs.length == len(cols)
+        assert transform_bits(cols, coeffs.bits) == target
+    else:
+        with pytest.raises(NotInSpan):
+            solve_in_basis(basis, Gf2Vector(target, basis.nrows))
 
 
 def test_rank_plus_nullity_is_ncols():

@@ -276,6 +276,15 @@ def test_delete(fano):
     assert eye.delete({1}).rank == 1
 
 
+@given(binary_matroids())
+def test_contraction_is_deletion_in_the_dual(m):
+    dual = m.dual()
+    for e in set(m.ground) - m.loops():
+        contracted, deleted = m.contract_independent({e}).dual(), dual.delete({e})
+        assert contracted.ground == deleted.ground
+        assert contracted.circuits == deleted.circuits
+
+
 def test_dual_fano(fano):
     d = fano.dual()
     assert d.rank == 4 and d.size == 7

@@ -51,6 +51,7 @@ def test_trace_hooks_count_every_layer():
         "matroid.build.calls",
         "catalogue.compute_flags.calls",
         "tutte.calls",
+        "gf2.rref.calls",
     ):
         assert metrics[name] > 0, name
     # one full canonicity test per candidate; the fill's tests of subspace

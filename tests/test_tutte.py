@@ -230,6 +230,9 @@ def test_deserialization_rejects_bad_shape():
         TuttePolynomial.from_block("2 3\n0 1\n")  # not enough rows
     with pytest.raises(ValueError):
         TuttePolynomial.from_block("1 2\n0 1 2\n3 4\n")  # row width mismatch
+    for blank in ("", "\n  \n"):
+        with pytest.raises(ValueError):
+            TuttePolynomial.from_block(blank)
 
 
 def test_loops_and_coloops_mix():
