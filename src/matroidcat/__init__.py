@@ -22,14 +22,12 @@ from .enumeration import (
     SingularMatrix,
     generate,
     is_canonical,
-    label_of_vector,
     label_vector_of,
     lex_larger_witness,
     multiplicity_of,
     transform_label,
-    vector_of_label,
 )
-from .gf2 import Gf2Matrix, Gf2Vector, NotInSpan, PivotOnZero, solve_in_basis
+from .gf2 import Gf2Matrix, NotInSpan, PivotOnZero, solve_in_basis
 from .matroid import (
     BinaryMatroid,
     CircuitSpaceTooLarge,
@@ -59,7 +57,6 @@ __all__ = [
     "DependentContractionSet",
     "FanoWitness",
     "Gf2Matrix",
-    "Gf2Vector",
     "InvalidShape",
     "LabelOutOfRange",
     "LabelVector",
@@ -81,7 +78,6 @@ __all__ = [
     "is_fano_dual",
     "is_isomorphic_bruteforce",
     "is_regular",
-    "label_of_vector",
     "label_vector_of",
     "lex_larger_witness",
     "matroid_of_labels",
@@ -93,5 +89,4 @@ __all__ = [
     "transform_label",
     "tutte_by_activities",
     "tutte_by_deletion_contraction",
-    "vector_of_label",
 ]

@@ -74,7 +74,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .gf2 import Gf2Matrix, Gf2Vector, echelon_basis, rank_of_labels, transform_bits
+from .gf2 import Gf2Matrix, echelon_basis, rank_of_labels, transform_bits
 
 
 class EnumerationError(Exception):
@@ -91,18 +91,6 @@ class LabelOutOfRange(EnumerationError):
 
 class SingularMatrix(EnumerationError):
     """A label transform needs an invertible matrix."""
-
-
-def label_of_vector(v: Gf2Vector) -> int:
-    """Integer label of a vector: coordinate j weighs 2^(j-1)."""
-    return v.bits
-
-
-def vector_of_label(label: int, k: int) -> Gf2Vector:
-    """Vector of GF(2)^k named by the label; inverse of label_of_vector."""
-    if not 0 <= label < (1 << k):
-        raise LabelOutOfRange(f"label {label} not in 0..{(1 << k) - 1}")
-    return Gf2Vector(label, k)
 
 
 def transform_label(g: Gf2Matrix, label: int) -> int:

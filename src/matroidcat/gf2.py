@@ -1,17 +1,18 @@
-"""Exact linear algebra over GF(2) on bit-packed vectors and matrices.
+"""Exact linear algebra over GF(2) on bitmask vectors and ``Gf2Matrix``.
 
-Vectors and matrix rows are stored as Python ints: bit ``i-1`` holds
-coordinate ``i``, so coordinate 1 is the least significant bit.  All public
-indices (rows, columns, coordinates) are 1-based; the 0-based bit positions
-never leak out of this module.  Addition is XOR, the scalar product is the
-parity of AND.  Everything here is a pure function on immutable values.
+A vector is a plain Python int: bit ``i-1`` holds coordinate ``i``, so
+coordinate 1 is the least significant bit.  Matrix rows and columns are such
+ints too.  The public indices of a matrix (rows, columns) are 1-based.
+Addition is XOR, the scalar product is the parity of AND,
+``(a & b).bit_count() & 1``.  Everything here is a pure function on
+immutable values.
 
 Two eliminations do all the work.  ``Gf2Matrix.rref`` gives the reduced
 row echelon form with leftmost pivots; ``nullspace_basis`` reads the null
 space off it through ``nullspace_of_reduced``.  ``echelon_basis`` and
-``reduce_bits`` eliminate on bare bitmasks, skipping the vector and matrix
-objects: ``rank``, ``rank_of_labels``, ``row_space`` and ``solve_in_basis``
-are built on them.
+``reduce_bits`` eliminate on bare bitmasks, skipping the matrix objects:
+``rank``, ``rank_of_labels``, ``row_space`` and ``solve_in_basis`` are built
+on them.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ class NotInSpan(Exception):
     """Target vector is outside the span of the given basis."""
 
 
-def _parity(x: int) -> int:
-    return bin(x).count("1") & 1
-
-
 def _transpose(vectors: Sequence[int], length: int) -> list[int]:
     """The transpose of bitmask vectors of the given length: bit j of entry
     i of the result is bit i of vectors[j]."""
@@ -42,73 +39,6 @@ def _transpose(vectors: Sequence[int], length: int) -> list[int]:
             out[low.bit_length() - 1] |= bit
             v ^= low
     return out
-
-
-class Gf2Vector:
-    """Fixed-length vector over GF(2), coordinates indexed 1..length."""
-
-    __slots__ = ("bits", "length")
-
-    def __init__(self, bits: int, length: int):
-        if length < 0:
-            raise ValueError("length must be non-negative")
-        if bits < 0 or bits >> length:
-            raise ValueError(f"bits 0x{bits:x} do not fit in {length} coordinates")
-        self.bits = bits
-        self.length = length
-
-    @classmethod
-    def from_entries(cls, entries: Sequence[int]) -> "Gf2Vector":
-        bits = 0
-        for i, e in enumerate(entries):
-            if e not in (0, 1):
-                raise ValueError("entries must be 0 or 1")
-            bits |= e << i
-        return cls(bits, len(entries))
-
-    def entry(self, i: int) -> int:
-        """Coordinate i, 1-based."""
-        if not 1 <= i <= self.length:
-            raise IndexError(f"coordinate {i} out of range 1..{self.length}")
-        return (self.bits >> (i - 1)) & 1
-
-    def entries(self) -> tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(self.length))
-
-    def support(self) -> frozenset[int]:
-        """1-based positions of the nonzero coordinates."""
-        return frozenset(i + 1 for i in range(self.length) if (self.bits >> i) & 1)
-
-    def weight(self) -> int:
-        return bin(self.bits).count("1")
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def dot(self, other: "Gf2Vector") -> int:
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return _parity(self.bits & other.bits)
-
-    def __xor__(self, other: "Gf2Vector") -> "Gf2Vector":
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return Gf2Vector(self.bits ^ other.bits, self.length)
-
-    __add__ = __xor__
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Gf2Vector)
-            and self.length == other.length
-            and self.bits == other.bits
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.bits, self.length))
-
-    def __repr__(self) -> str:
-        return f"Gf2Vector({''.join(str(b) for b in self.entries())})"
 
 
 class Gf2Matrix:
@@ -135,7 +65,12 @@ class Gf2Matrix:
         for row in rows:
             if len(row) != ncols:
                 raise ValueError("rows must have equal length")
-            packed.append(Gf2Vector.from_entries(row).bits)
+            bits = 0
+            for i, e in enumerate(row):
+                if e not in (0, 1):
+                    raise ValueError("entries must be 0 or 1")
+                bits |= e << i
+            packed.append(bits)
         return cls(packed, ncols)
 
     @classmethod
@@ -150,10 +85,11 @@ class Gf2Matrix:
     def identity(cls, k: int) -> "Gf2Matrix":
         return cls([1 << i for i in range(k)], k)
 
-    def row(self, i: int) -> Gf2Vector:
+    def row(self, i: int) -> int:
+        """Row i as a bitmask over columns (bit j-1 = entry in column j)."""
         if not 1 <= i <= self.nrows:
             raise IndexError(f"row {i} out of range 1..{self.nrows}")
-        return Gf2Vector(self.rows[i - 1], self.ncols)
+        return self.rows[i - 1]
 
     def entry(self, i: int, j: int) -> int:
         if not 1 <= i <= self.nrows:
@@ -176,7 +112,7 @@ class Gf2Matrix:
         return tuple(_transpose(self.rows, self.ncols))
 
     def entries(self) -> list[list[int]]:
-        return [list(self.row(i).entries()) for i in range(1, self.nrows + 1)]
+        return [[r >> j & 1 for j in range(self.ncols)] for r in self.rows]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -189,8 +125,7 @@ class Gf2Matrix:
         return hash((self.rows, self.ncols))
 
     def __repr__(self) -> str:
-        body = ";".join("".join(str(b) for b in self.row(i).entries())
-                        for i in range(1, self.nrows + 1))
+        body = ";".join("".join(map(str, row)) for row in self.entries())
         return f"Gf2Matrix({self.nrows}x{self.ncols}:{body})"
 
     # -- elimination ------------------------------------------------------
@@ -231,12 +166,12 @@ class Gf2Matrix:
         """
         return nullspace_of_reduced(self.rref()[0])
 
-    def row_space(self) -> list[Gf2Vector]:
+    def row_space(self) -> list[int]:
         """All 2^rank distinct vectors of the row span, zero vector first."""
         span = [0]
         for b in echelon_basis(self.rows):
             span += [b ^ x for x in span]
-        return [Gf2Vector(x, self.ncols) for x in span]
+        return span
 
     def pivot(self, alpha: int, beta: int) -> "Gf2Matrix":
         """Pivot at entry (alpha, beta), which must be 1.
@@ -261,26 +196,29 @@ class Gf2Matrix:
         return Gf2Matrix(new_rows, self.ncols)
 
 
-def solve_in_basis(basis_cols: Gf2Matrix, target: Gf2Vector) -> Gf2Vector:
+def solve_in_basis(basis_cols: Gf2Matrix, target: int) -> int:
     """Coefficients c with basis_cols . c = target, for independent columns.
 
-    Raises NotInSpan if the target is outside the column span.  Column j is
-    tagged with bit j below its entries, so every vector of the echelon
-    basis of the tagged columns records which columns it sums; one with no
-    entry bits left is a dependence.  The target, shifted above the tags,
-    reduces to its coefficients when it lies in the span.
+    The target is a bitmask over rows; bit j-1 of the result is the
+    coefficient of column j.  Raises ValueError if the target does not fit
+    in the rows or the columns are dependent, and NotInSpan if the target is
+    outside the column span.  Column j is tagged with bit j below its
+    entries, so every vector of the echelon basis of the tagged columns
+    records which columns it sums; one with no entry bits left is a
+    dependence.  The target, shifted above the tags, reduces to its
+    coefficients when it lies in the span.
     """
-    m = basis_cols.ncols
-    if target.length != basis_cols.nrows:
-        raise ValueError("target length must equal the number of rows")
+    m, k = basis_cols.ncols, basis_cols.nrows
+    if target < 0 or target >> k:
+        raise ValueError(f"target 0x{target:x} does not fit in {k} rows")
     tagged = [c << m | 1 << j for j, c in enumerate(basis_cols.columns())]
     echelon = echelon_basis(tagged)
     if echelon and echelon[-1] >> m == 0:
         raise ValueError("basis columns are not linearly independent")
-    residue = reduce_bits(target.bits << m, echelon)
+    residue = reduce_bits(target << m, echelon)
     if residue >> m:
         raise NotInSpan("target is not in the span of the basis columns")
-    return Gf2Vector(residue, m)
+    return residue
 
 
 def nullspace_of_reduced(reduced: Gf2Matrix) -> Gf2Matrix:

@@ -171,12 +171,18 @@ class BinaryMatroid:
 
     # -- closure, rank, simplification ------------------------------------
 
+    def _columns_in(self, subset: Iterable[int]) -> list[int]:
+        try:
+            return [self._columns[e] for e in subset]
+        except KeyError:
+            raise ValueError("subset must lie inside the ground set") from None
+
     def rank_of(self, subset: Iterable[int]) -> int:
-        return rank_of_labels([self.column_of(e) for e in subset])
+        return rank_of_labels(self._columns_in(subset))
 
     def closure(self, subset: Iterable[int]) -> frozenset[int]:
         """All elements whose columns lie in the span of the subset's columns."""
-        return self._spanned_by(echelon_basis([self.column_of(e) for e in subset]))
+        return self._spanned_by(echelon_basis(self._columns_in(subset)))
 
     def _spanned_by(self, echelon: list[int]) -> frozenset[int]:
         """Elements whose columns reduce to 0 against an echelon basis."""

@@ -9,21 +9,17 @@ matrix on each element it picks, and counts both activities on the way down.
 ``internal_activity`` keep the definitions one basis at a time, for
 reference.  A memoized deletion/contraction recursion provides an
 independent second opinion; the two must agree coefficient for coefficient.
+``TuttePolynomial`` holds only the coefficient grid; listings write it in
+the ``tutte=`` field of ``CatalogueEntry``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
-from .gf2 import (
-    Gf2Matrix,
-    Gf2Vector,
-    NotInSpan,
-    echelon_basis,
-    reduce_bits,
-    solve_in_basis,
-)
+from .gf2 import Gf2Matrix, NotInSpan, echelon_basis, reduce_bits, solve_in_basis
 from .matroid import BinaryMatroid
 
 
@@ -65,30 +61,6 @@ class TuttePolynomial:
     def transpose(self) -> "TuttePolynomial":
         return TuttePolynomial(tuple(zip(*self.grid)))
 
-    def to_block(self) -> str:
-        """Serialized grid: header "k n", then k+1 lines of n-k+1 integers.
-
-        Here k is the matroid rank (x-degree bound) and n its size, so the
-        line length is n-k+1.
-        """
-        k = self.max_x
-        n = self.max_x + self.max_y
-        lines = [f"{k} {n}"]
-        for row in self.grid:
-            lines.append(" ".join(str(c) for c in row))
-        return "\n".join(lines)
-
-    @classmethod
-    def from_block(cls, text: str) -> "TuttePolynomial":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("block has no header line")
-        k, n = (int(tok) for tok in lines[0].split())
-        rows = [tuple(int(tok) for tok in ln.split()) for ln in lines[1:]]
-        if len(rows) != k + 1 or any(len(r) != n - k + 1 for r in rows):
-            raise ValueError("block shape disagrees with its header")
-        return cls(tuple(rows))
-
 
 def _grid_from_counts(
     counts: dict[tuple[int, int], int], k: int, corank: int
@@ -108,14 +80,20 @@ def bases(m: BinaryMatroid) -> list[frozenset[int]]:
     ]
 
 
+def _check_inside(m: BinaryMatroid, elements: Iterable[int]) -> None:
+    if not set(elements).issubset(m.ground):
+        raise ValueError(f"{sorted(elements)} must lie inside the ground set")
+
+
 def fundamental_circuit(
     m: BinaryMatroid, basis: frozenset[int], x: int
 ) -> frozenset[int]:
     """The unique circuit inside basis + {x}; contains x."""
+    _check_inside(m, {x, *basis})
     ordered = sorted(basis)
     basis_cols = Gf2Matrix.from_columns([m.column_of(e) for e in ordered], m.rank)
-    coeffs = solve_in_basis(basis_cols, Gf2Vector(m.column_of(x), m.rank))
-    return frozenset({x} | {ordered[i - 1] for i in coeffs.support()})
+    coeffs = solve_in_basis(basis_cols, m.column_of(x))
+    return frozenset({x} | {e for i, e in enumerate(ordered) if coeffs >> i & 1})
 
 
 def external_activity(m: BinaryMatroid, basis: frozenset[int]) -> int:
@@ -124,9 +102,11 @@ def external_activity(m: BinaryMatroid, basis: frozenset[int]) -> int:
     That circuit is x plus the unique representation of x in the basis, so x
     tops it exactly when its column lies in the span of the basis elements
     below x.  One pass in label order reduces each column against the basis
-    elements already passed.  Raises ValueError if the set is dependent and
-    NotInSpan if it is independent but does not span.
+    elements already passed.  Raises ValueError if the set is dependent or
+    not inside the ground set, and NotInSpan if it is independent but does
+    not span.
     """
+    _check_inside(m, basis)
     echelon: list[int] = []
     count = 0
     for x in m.ground:
@@ -149,6 +129,7 @@ def internal_activity(m: BinaryMatroid, basis: frozenset[int]) -> int:
     Computed as the external activity of the complementary basis in the dual
     matroid.
     """
+    _check_inside(m, basis)
     return external_activity(m.dual(), frozenset(m.ground) - basis)
 
 

@@ -24,40 +24,16 @@ from matroidcat.enumeration import (
     canonical_form,
     generate,
     is_canonical,
-    label_of_vector,
     label_vector_of,
     lex_larger_witness,
     multiplicity_of,
     transform_label,
-    vector_of_label,
 )
-from matroidcat.gf2 import Gf2Matrix, Gf2Vector, rank_of_labels
+from matroidcat.gf2 import Gf2Matrix, rank_of_labels
 
 
 def mf(values, k):
     return MultiplicityFunction(tuple(values), k)
-
-
-def test_label_of_unit_vectors():
-    assert label_of_vector(Gf2Vector.from_entries([1, 0, 0])) == 1
-    assert label_of_vector(Gf2Vector.from_entries([0, 1, 0])) == 2
-    assert label_of_vector(Gf2Vector.from_entries([0, 0, 1])) == 4
-    assert label_of_vector(Gf2Vector.from_entries([0, 0, 0])) == 0
-    assert label_of_vector(Gf2Vector.from_entries([1, 1, 1])) == 7
-
-
-def test_vector_of_label_round_trip():
-    assert vector_of_label(7, 3).entries() == (1, 1, 1)
-    assert vector_of_label(1, 5).entries() == (1, 0, 0, 0, 0)
-    for label in range(16):
-        assert label_of_vector(vector_of_label(label, 4)) == label
-
-
-def test_vector_of_label_range_check():
-    with pytest.raises(LabelOutOfRange):
-        vector_of_label(8, 3)
-    with pytest.raises(LabelOutOfRange):
-        vector_of_label(-1, 3)
 
 
 def test_transform_label():

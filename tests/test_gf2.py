@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import FANO_DUAL_ROWS, FANO_ROWS, PIVOTED_BLOCK_ROWS, STANDARD_BLOCK_ROWS
 from matroidcat.gf2 import (
     Gf2Matrix,
-    Gf2Vector,
     NotInSpan,
     PivotOnZero,
     gl_column_tuples,
@@ -38,25 +37,6 @@ def gf2_matrices(draw, max_rows: int = 6, max_cols: int = 9) -> Gf2Matrix:
     return Gf2Matrix(rows, ncols)
 
 
-def test_vector_entries_round_trip():
-    v = Gf2Vector.from_entries([1, 0, 1, 1])
-    assert v.entries() == (1, 0, 1, 1)
-    assert v.entry(1) == 1 and v.entry(2) == 0
-    assert v.support() == frozenset({1, 3, 4})
-    assert v.weight() == 3
-    assert not v.is_zero()
-    assert Gf2Vector(0, 4).is_zero()
-
-
-def test_vector_dot_and_xor():
-    a = Gf2Vector.from_entries([1, 1, 0])
-    b = Gf2Vector.from_entries([0, 1, 1])
-    assert a.dot(b) == 1
-    assert a.dot(a) == 0  # even weight
-    assert (a ^ b).entries() == (1, 0, 1)
-    assert a + b == a ^ b
-
-
 def test_matrix_constructors_agree():
     rows = [[1, 0, 1], [0, 1, 1]]
     m = Gf2Matrix.from_rows(rows)
@@ -72,6 +52,22 @@ def test_matrix_constructors_agree():
         [0, 1, 0],
         [0, 0, 1],
     ]
+
+
+def test_rows_are_bitmasks():
+    m = Gf2Matrix.from_rows([[1, 0, 1], [0, 1, 1]])
+    assert (m.row(1), m.row(2)) == (0b101, 0b110) == m.rows
+    for i in (0, -1, 3):
+        with pytest.raises(IndexError, match="out of range 1..2"):
+            m.row(i)
+    assert repr(m) == "Gf2Matrix(2x3:101;011)"
+    assert repr(Gf2Matrix((), 4)) == "Gf2Matrix(0x4:)"
+    with pytest.raises(ValueError, match="entries must be 0 or 1"):
+        Gf2Matrix.from_rows([[1, 0], [2, 0]])
+    with pytest.raises(ValueError, match="rows must have equal length"):
+        Gf2Matrix.from_rows([[1, 0], [1]])
+    with pytest.raises(ValueError, match="needs at least one row"):
+        Gf2Matrix.from_rows([])
 
 
 def test_entry_checks_both_indices():
@@ -120,7 +116,7 @@ def test_nullspace_is_orthogonal_complement():
     assert ns.nrows == 4 and ns.ncols == 7
     for i in range(1, ns.nrows + 1):
         for j in range(1, m.nrows + 1):
-            assert ns.row(i).dot(m.row(j)) == 0
+            assert (ns.row(i) & m.row(j)).bit_count() & 1 == 0
     # spans the same space as the known dual representation
     dual = Gf2Matrix.from_rows(FANO_DUAL_ROWS)
     assert set(ns.row_space()) == set(dual.row_space())
@@ -133,7 +129,7 @@ def test_nullspace_basis_is_orthogonal_of_full_size(m):
     assert ns.nrows == ns.rank() == m.ncols - m.rank()
     for v in ns.rows:
         for r in m.rows:
-            assert not bin(v & r).count("1") & 1
+            assert (v & r).bit_count() & 1 == 0
     assert ns == nullspace_of_reduced(m.rref()[0])
 
 
@@ -145,20 +141,18 @@ def test_nullspace_trivial_cases():
 
 def test_row_space():
     single = Gf2Matrix.from_rows([[1, 0, 1]])
-    assert {v.entries() for v in single.row_space()} == {(0, 0, 0), (1, 0, 1)}
+    assert set(single.row_space()) == {0b000, 0b101}
     assert len(Gf2Matrix.from_rows(FANO_ROWS).row_space()) == 8
     eye = Gf2Matrix.identity(2)
-    assert {v.entries() for v in eye.row_space()} == {
-        (0, 0), (0, 1), (1, 0), (1, 1),
-    }
+    assert set(eye.row_space()) == {0b00, 0b01, 0b10, 0b11}
 
 
 @given(gf2_matrices())
 def test_row_space_is_the_span_of_the_rows(m):
     space = m.row_space()
-    assert space[0] == Gf2Vector(0, m.ncols)
+    assert space[0] == 0
     assert len(space) == 1 << m.rank()
-    assert set(space) == {Gf2Vector(x, m.ncols) for x in span_labels(m.rows)}
+    assert set(space) == span_labels(m.rows)
 
 
 def test_row_space_closed_under_xor():
@@ -166,7 +160,8 @@ def test_row_space_closed_under_xor():
     for _ in range(20):
         m = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 6))
         space = set(m.row_space())
-        assert Gf2Vector(0, m.ncols) in space
+        assert 0 in space
+        assert all(0 <= v < 1 << m.ncols for v in space)
         for a in space:
             for b in space:
                 assert a ^ b in space
@@ -222,8 +217,7 @@ def test_pivot_on_zero_raises():
 
 
 def test_solve_in_basis_identity():
-    sol = solve_in_basis(Gf2Matrix.identity(3), Gf2Vector.from_entries([1, 0, 1]))
-    assert sol.entries() == (1, 0, 1)
+    assert solve_in_basis(Gf2Matrix.identity(3), 0b101) == 0b101
 
 
 def test_solve_in_basis_fano_column():
@@ -231,14 +225,14 @@ def test_solve_in_basis_fano_column():
     basis = Gf2Matrix.from_columns(
         [fano.column_bits(j) for j in (1, 2, 3)], 3
     )
-    target = Gf2Vector.from_entries([1, 1, 1])  # column 7
-    assert solve_in_basis(basis, target).entries() == (1, 1, 1)
+    target = 0b111  # column 7
+    assert solve_in_basis(basis, target) == 0b111
 
 
 def test_solve_in_basis_rejects_outside_span():
     basis = Gf2Matrix.from_columns([0b11], 2)  # single column (1,1)
     with pytest.raises(NotInSpan):
-        solve_in_basis(basis, Gf2Vector.from_entries([0, 1]))
+        solve_in_basis(basis, 0b10)
 
 
 def test_solve_in_basis_rejects_dependent_columns():
@@ -246,14 +240,23 @@ def test_solve_in_basis_rejects_dependent_columns():
     # with a target inside the span and one outside it, where the dependence
     # is still what gets reported (NotInSpan is not a ValueError)
     cases = [
-        ([0b011, 0b110, 0b101], ([1, 1, 0], [1, 0, 0])),
-        ([0b10, 0b10], ([0, 1], [1, 0])),
+        ([0b011, 0b110, 0b101], 3, (0b011, 0b001)),
+        ([0b10, 0b10], 2, (0b10, 0b01)),
     ]
-    for cols, targets in cases:
-        basis = Gf2Matrix.from_columns(cols, len(targets[0]))
-        for entries in targets:
+    for cols, nrows, targets in cases:
+        basis = Gf2Matrix.from_columns(cols, nrows)
+        for target in targets:
             with pytest.raises(ValueError, match="not linearly independent"):
-                solve_in_basis(basis, Gf2Vector.from_entries(entries))
+                solve_in_basis(basis, target)
+
+
+def test_solve_in_basis_rejects_targets_wider_than_the_rows():
+    # a target that does not fit is reported before a dependence
+    for cols in ([0b01, 0b10], [0b10, 0b10]):
+        basis = Gf2Matrix.from_columns(cols, 2)
+        for target in (0b100, 0b111, -1):
+            with pytest.raises(ValueError, match="does not fit in 2 rows"):
+                solve_in_basis(basis, target)
 
 
 def test_solve_in_basis_random_round_trip():
@@ -273,8 +276,7 @@ def test_solve_in_basis_random_round_trip():
         for idx, c in enumerate(cols):
             if coeff >> idx & 1:
                 target ^= c
-        sol = solve_in_basis(basis, Gf2Vector(target, k))
-        assert sol.bits == coeff
+        assert solve_in_basis(basis, target) == coeff
 
 
 @settings(max_examples=300)
@@ -285,14 +287,14 @@ def test_solve_in_basis_matches_its_definition(basis, data):
     if rank_of_labels(cols) < len(cols):
         # dependence is reported first, whether or not the target is in span
         with pytest.raises(ValueError, match="not linearly independent"):
-            solve_in_basis(basis, Gf2Vector(target, basis.nrows))
+            solve_in_basis(basis, target)
     elif target in span_labels(cols):
-        coeffs = solve_in_basis(basis, Gf2Vector(target, basis.nrows))
-        assert coeffs.length == len(cols)
-        assert transform_bits(cols, coeffs.bits) == target
+        coeffs = solve_in_basis(basis, target)
+        assert 0 <= coeffs < 1 << len(cols)
+        assert transform_bits(cols, coeffs) == target
     else:
         with pytest.raises(NotInSpan):
-            solve_in_basis(basis, Gf2Vector(target, basis.nrows))
+            solve_in_basis(basis, target)
 
 
 def test_rank_plus_nullity_is_ncols():

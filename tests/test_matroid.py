@@ -190,6 +190,13 @@ def test_closure(fano):
     assert fano.closure(set()) == frozenset()
 
 
+def test_rank_and_closure_refuse_elements_outside_the_ground_set(fano):
+    for call in (fano.rank_of, fano.closure):
+        for subset in ([99], {1, 2, 99}, [0]):
+            with pytest.raises(ValueError, match="must lie inside the ground set"):
+                call(subset)
+
+
 def test_closure_picks_up_loops():
     m = from_labels([0, 1, 2], 2)
     assert m.loops() == {1}
@@ -290,7 +297,7 @@ def test_dual_fano(fano):
     assert d.rank == 4 and d.size == 7
     for i in range(1, d.matrix.nrows + 1):
         for j in range(1, fano.matrix.nrows + 1):
-            assert d.matrix.row(i).dot(fano.matrix.row(j)) == 0
+            assert (d.matrix.row(i) & fano.matrix.row(j)).bit_count() & 1 == 0
 
 
 def test_dual_free_matroid_is_all_loops():

@@ -108,6 +108,19 @@ def test_external_activity_refuses_non_bases(polygon):
         external_activity(polygon, frozenset({1, 2, 3}))
 
 
+def test_basis_methods_refuse_elements_outside_the_ground_set(fano):
+    calls = [
+        lambda: fundamental_circuit(fano, frozenset({1, 2, 4}), 99),
+        lambda: fundamental_circuit(fano, frozenset({1, 2, 99}), 3),
+        lambda: external_activity(fano, {1, 2, 99}),
+        lambda: internal_activity(fano, {1, 2, 99}),
+        lambda: external_activity(fano, {1, 2, 4, 99}),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="must lie inside the ground set"):
+            call()
+
+
 def test_external_activity_parallel_pair():
     assert external_activity(PARALLEL_PAIR, frozenset({1})) == 1
     assert external_activity(PARALLEL_PAIR, frozenset({2})) == 0
@@ -207,32 +220,6 @@ def test_polynomial_accessors():
     assert t.coefficient(1, 1) == 7
     assert t.coefficient(0, 4) == 1
     assert t.total() == 28
-
-
-def test_serialization_round_trip(polygon):
-    t = tutte_by_activities(polygon)
-    assert TuttePolynomial.from_block(t.to_block()).grid == t.grid
-
-
-def test_serialization_exact_text():
-    block = TuttePolynomial(FANO_GRID).to_block()
-    assert block == (
-        "3 7\n"
-        "0 3 6 3 1\n"
-        "3 7 0 0 0\n"
-        "4 0 0 0 0\n"
-        "1 0 0 0 0"
-    )
-
-
-def test_deserialization_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        TuttePolynomial.from_block("2 3\n0 1\n")  # not enough rows
-    with pytest.raises(ValueError):
-        TuttePolynomial.from_block("1 2\n0 1 2\n3 4\n")  # row width mismatch
-    for blank in ("", "\n  \n"):
-        with pytest.raises(ValueError):
-            TuttePolynomial.from_block(blank)
 
 
 def test_loops_and_coloops_mix():
