@@ -17,15 +17,10 @@ from .catalogue import (
 from .enumeration import (
     InvalidShape,
     LabelOutOfRange,
-    LabelVector,
-    MultiplicityFunction,
-    SingularMatrix,
     generate,
     is_canonical,
     label_vector_of,
     lex_larger_witness,
-    multiplicity_of,
-    transform_label,
 )
 from .gf2 import Gf2Matrix, NotInSpan, PivotOnZero, solve_in_basis
 from .matroid import (
@@ -59,13 +54,10 @@ __all__ = [
     "Gf2Matrix",
     "InvalidShape",
     "LabelOutOfRange",
-    "LabelVector",
-    "MultiplicityFunction",
     "NotInSpan",
     "OracleTooLarge",
     "PivotOnZero",
     "ResourceGuard",
-    "SingularMatrix",
     "TuttePolynomial",
     "UnwritableOutput",
     "bases",
@@ -81,12 +73,10 @@ __all__ = [
     "label_vector_of",
     "lex_larger_witness",
     "matroid_of_labels",
-    "multiplicity_of",
     "run_counts",
     "run_dual_listing",
     "run_generate",
     "solve_in_basis",
-    "transform_label",
     "tutte_by_activities",
     "tutte_by_deletion_contraction",
 ]

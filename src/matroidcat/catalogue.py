@@ -17,7 +17,9 @@ Subcommands:
 
 ``generate`` and ``dual-listing`` run the same pipeline (``_pipeline``), in
 one process and one candidate at a time, so memory does not grow with the
-number of candidates.  ``counts`` reads the four plain classes off the cycle
+number of candidates.  A class is one sorted label tuple throughout: the
+form ``enumeration.generate`` yields and ``canonical_form`` returns, and the
+``r=(...)`` field of a line.  ``counts`` reads the four plain classes off the cycle
 index of GL(k, 2) (``orbits``) without enumerating; only ``--regular-only``
 counts run the pipeline.  Output is deterministic: byte-identical across
 runs.
@@ -33,14 +35,7 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional
 
-from .enumeration import (
-    InvalidShape,
-    LabelVector,
-    canonical_form,
-    generate,
-    label_vector_of,
-    multiplicity_of,
-)
+from .enumeration import InvalidShape, canonical_form, generate
 from .gf2 import Gf2Matrix, nullspace_of_reduced
 from .matroid import BinaryMatroid
 from .orbits import class_counts
@@ -196,8 +191,8 @@ def _pipeline(
     """
     base, need_connected = _split_class(matroid_class)
     side = n - k if dualize else k
-    for lv in generate(side, n, base):
-        labels, tutte = lv.labels, None
+    for labels in generate(side, n, base):
+        tutte = None
         m = matroid_of_labels(labels, side)
         if need_connected and not m.is_connected():
             continue
@@ -230,14 +225,6 @@ def run_generate(
     entries = list(_pipeline(k, n, matroid_class, regular_only, with_tutte))
     _write_entries(entries, out)
     return entries
-
-
-def _canonical_labels(labels: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """Smallest label vector in the class of a spanning rank-k label vector:
-    its loops, which every relabelling fixes, then the canonical rest."""
-    loops = labels.count(0)
-    rest = multiplicity_of(LabelVector(labels[loops:], k))
-    return labels[:loops] + label_vector_of(canonical_form(rest)).labels
 
 
 def run_dual_listing(
@@ -276,7 +263,7 @@ def run_dual_listing(
     entries = list(_pipeline(k, n, matroid_class, dualize=True))
     if canonicalize:
         entries = [
-            replace(e, labels=_canonical_labels(e.labels, k), dualized=False)
+            replace(e, labels=canonical_form(e.labels, k), dualized=False)
             for e in entries
         ]
         entries.sort(key=lambda e: e.labels)

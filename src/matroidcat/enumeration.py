@@ -1,13 +1,14 @@
 """Isomorph-free generation of binary matrix matroids.
 
-A rank-k, size-n matroid is encoded as a multiplicity function: how often
-each nonzero vector of GF(2)^k occurs as a column.  Vectors are named by
-integer labels (coordinate j contributes 2^(j-1), so unit vectors get the
-powers of two) and an invertible matrix acts by permuting labels.  One
-multiplicity function per orbit, the lexicographically largest, is the
-canonical representative.  Canonical multiplicity functions correspond to
-lexicographically *smallest* label vectors, and come out in increasing
-label-vector order.
+A rank-k, size-n matroid is given by its columns, vectors of GF(2)^k named
+by integer labels (coordinate j contributes 2^(j-1), so unit vectors get the
+powers of two, and label 0 is a loop), and a class is written as its sorted
+label tuple.  An invertible matrix acts by permuting labels.  The search
+and the fill work on the multiplicity function of a label tuple: how often
+each label occurs, indexed by label.  One multiplicity function per orbit,
+the lexicographically largest, is the canonical representative; canonical
+multiplicity functions correspond to lexicographically *smallest* label
+tuples, and come out in increasing label-tuple order.
 
 Generation is Read's orderly scheme: candidates are filled label by label,
 in decreasing lexicographic order, and every complete candidate is
@@ -61,20 +62,21 @@ None, or the same witness.  At level t the test tries only the labels h
 with f(h) >= f(2^t): every other h loses the first comparison of its block,
 f(h) against f(2^t), so the search still meets the same first witness.
 
-The same test yields the canonical form of any spanning function f.
-Relabelling f through a witness, completed to a basis, gives a function of
-f's orbit that is lexicographically larger, so testing again and relabelling
-again climbs strictly within the orbit.  The orbit is finite, so the climb
-ends, and it ends only where the test finds no witness: at the orbit
-maximum, the representative that generate emits for f's class.
+The same test yields the canonical form of any spanning label tuple, loops
+included: the search never reads the multiplicity of label 0, and every
+relabelling fixes it.  Relabelling the function f through a witness,
+completed to a basis, gives a function of f's orbit that is
+lexicographically larger, so testing again and relabelling again climbs
+strictly within the orbit.  The orbit is finite, so the climb ends, and it
+ends only where the test finds no witness: at the orbit maximum, the
+representative that generate emits for f's class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .gf2 import Gf2Matrix, echelon_basis, rank_of_labels, transform_bits
+from .gf2 import echelon_basis, rank_of_labels, transform_bits
 
 
 class EnumerationError(Exception):
@@ -89,77 +91,24 @@ class LabelOutOfRange(EnumerationError):
     """Label does not name a vector of GF(2)^k."""
 
 
-class SingularMatrix(EnumerationError):
-    """A label transform needs an invertible matrix."""
+def label_vector_of(values: Sequence[int]) -> tuple[int, ...]:
+    """Sorted labels of the multiset whose multiplicities are values: each
+    label x repeated values[x] times."""
+    return tuple(x for x, count in enumerate(values) for _ in range(count))
 
 
-def transform_label(g: Gf2Matrix, label: int) -> int:
-    """Label of g applied to the vector named by label.
-
-    For invertible g this is a permutation of {0, ..., 2^k - 1} fixing 0.
-    """
-    k = g.nrows
-    if g.ncols != k or g.rank() != k:
-        raise SingularMatrix("transform matrix must be square and invertible")
-    if not 0 <= label < (1 << k):
-        raise LabelOutOfRange(f"label {label} not in 0..{(1 << k) - 1}")
-    return transform_bits(g.columns(), label)
-
-
-@dataclass(frozen=True)
-class MultiplicityFunction:
-    """Column multiplicities of a loopless spanning multiset, indexed by label."""
-
-    values: tuple[int, ...]
-    k: int
-
-    def __post_init__(self) -> None:
-        if len(self.values) != 1 << self.k:
-            raise InvalidShape(f"need 2^{self.k} entries, got {len(self.values)}")
-        if any(v < 0 for v in self.values):
-            raise InvalidShape("multiplicities must be non-negative")
-        if self.values[0] != 0:
-            raise InvalidShape("label 0 is a loop; its multiplicity must be 0")
-        support = [lbl for lbl, v in enumerate(self.values) if v]
-        if rank_of_labels(support) != self.k:
-            raise InvalidShape("columns do not span GF(2)^k")
-
-    @property
-    def n(self) -> int:
-        return sum(self.values)
-
-
-@dataclass(frozen=True)
-class LabelVector:
-    """Sorted column labels of a matroid; the catalogue's external format."""
-
-    labels: tuple[int, ...]
-    k: int
-
-    def __post_init__(self) -> None:
-        top = (1 << self.k) - 1
-        if any(not 1 <= r <= top for r in self.labels):
-            raise LabelOutOfRange(f"labels must lie in 1..{top}")
-        if any(a > b for a, b in zip(self.labels, self.labels[1:])):
-            raise InvalidShape("labels must be non-decreasing")
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-
-def label_vector_of(f: MultiplicityFunction) -> LabelVector:
-    labels: list[int] = []
-    for lbl, count in enumerate(f.values):
-        labels.extend([lbl] * count)
-    return LabelVector(tuple(labels), f.k)
-
-
-def multiplicity_of(r: LabelVector) -> MultiplicityFunction:
-    values = [0] * (1 << r.k)
-    for lbl in r.labels:
-        values[lbl] += 1
-    return MultiplicityFunction(tuple(values), r.k)
+def _multiplicities(labels: Iterable[int], k: int) -> list[int]:
+    """Multiplicities of a label multiset of GF(2)^k, indexed by label;
+    LabelOutOfRange for a label outside 0..2^k - 1, InvalidShape unless the
+    labels span GF(2)^k."""
+    values = [0] * (1 << k)
+    for x in labels:
+        if not 0 <= x < len(values):
+            raise LabelOutOfRange(f"label {x} not in 0..{len(values) - 1}")
+        values[x] += 1
+    if rank_of_labels([x for x, count in enumerate(values) if count]) != k:
+        raise InvalidShape(f"labels do not span GF(2)^{k}")
+    return values
 
 
 # -- canonicity ---------------------------------------------------------------
@@ -294,31 +243,31 @@ def _lex_larger_witness_columns(
     return None
 
 
-def lex_larger_witness(f: MultiplicityFunction) -> Gf2Matrix | None:
-    """An invertible matrix w such that relabelling f through w, i.e. the
-    function label -> f(label of w applied to that label's vector), is
-    lexicographically larger than f.  None when no such matrix exists.
+def lex_larger_witness(labels: Iterable[int], k: int) -> tuple[int, ...] | None:
+    """The columns of an invertible matrix w whose relabelling of the labels'
+    multiplicity function f, i.e. label -> f(label of w applied to that
+    label's vector), is lexicographically larger than f.  None when no such
+    matrix exists.
     """
-    cols = _lex_larger_witness_columns(f.values, f.k)
-    if cols is None:
-        return None
-    return Gf2Matrix.from_columns(_complete_to_basis(cols, f.k), f.k)
+    cols = _lex_larger_witness_columns(_multiplicities(labels, k), k)
+    return None if cols is None else tuple(_complete_to_basis(cols, k))
 
 
-def is_canonical(f: MultiplicityFunction) -> bool:
-    """True when f is the lexicographically largest function in its orbit."""
-    return _lex_larger_witness_columns(f.values, f.k) is None
+def is_canonical(labels: Iterable[int], k: int) -> bool:
+    """True when the labels' multiplicity function is the lexicographically
+    largest in its orbit, i.e. the labels are the smallest of their class."""
+    return _lex_larger_witness_columns(_multiplicities(labels, k), k) is None
 
 
-def canonical_form(f: MultiplicityFunction) -> MultiplicityFunction:
-    """The lexicographically largest function in f's orbit: f relabelled
-    through the witness of each rejection, completed to a basis, until the
-    canonicity test finds none."""
-    values = f.values
-    while (cols := _lex_larger_witness_columns(values, f.k)) is not None:
-        g = _complete_to_basis(cols, f.k)
-        values = tuple(values[transform_bits(g, x)] for x in range(1 << f.k))
-    return MultiplicityFunction(values, f.k)
+def canonical_form(labels: Iterable[int], k: int) -> tuple[int, ...]:
+    """The smallest sorted label tuple of the labels' class: their function
+    relabelled through the witness of each rejection, completed to a basis,
+    until the canonicity test finds none."""
+    values = _multiplicities(labels, k)
+    while (cols := _lex_larger_witness_columns(values, k)) is not None:
+        g = _complete_to_basis(cols, k)
+        values = [values[transform_bits(g, x)] for x in range(1 << k)]
+    return label_vector_of(values)
 
 
 # -- candidate iteration and generation --------------------------------------
@@ -480,10 +429,13 @@ def candidate_functions(
     raise ValueError(f"unknown class {matroid_class!r}")
 
 
-def generate(k: int, n: int, matroid_class: str = "loopless") -> Iterator[LabelVector]:
-    """One label vector per isomorphism class, in increasing lexicographic
-    order; each is the smallest label vector of its class.  The witness of
-    each rejected candidate goes back to the fill, which backjumps on it.
+def generate(
+    k: int, n: int, matroid_class: str = "loopless"
+) -> Iterator[tuple[int, ...]]:
+    """One sorted label tuple per isomorphism class, in increasing
+    lexicographic order; each is the smallest label tuple of its class.  The
+    witness of each rejected candidate goes back to the fill, which
+    backjumps on it.
     """
     if not 1 <= k <= n:
         raise InvalidShape(f"need 1 <= rank <= size, got rank {k}, size {n}")
@@ -491,4 +443,4 @@ def generate(k: int, n: int, matroid_class: str = "loopless") -> Iterator[LabelV
     for values in candidate_functions(k, n, matroid_class, witness):
         witness[0] = _lex_larger_witness_columns(values, k)
         if witness[0] is None:
-            yield label_vector_of(MultiplicityFunction(values, k))
+            yield label_vector_of(values)

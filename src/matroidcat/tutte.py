@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
 
 from .gf2 import Gf2Matrix, NotInSpan, echelon_basis, reduce_bits, solve_in_basis
 from .matroid import BinaryMatroid
@@ -80,16 +79,25 @@ def bases(m: BinaryMatroid) -> list[frozenset[int]]:
     ]
 
 
-def _check_inside(m: BinaryMatroid, elements: Iterable[int]) -> None:
-    if not set(elements).issubset(m.ground):
-        raise ValueError(f"{sorted(elements)} must lie inside the ground set")
+def _check_basis(m: BinaryMatroid, basis: frozenset[int]) -> None:
+    """ValueError unless basis lies inside the ground set and is independent,
+    NotInSpan unless it spans."""
+    rank = m.rank_of(basis)
+    if rank < len(basis):
+        raise ValueError(f"{sorted(basis)} is dependent")
+    if rank < m.rank:
+        raise NotInSpan(f"{sorted(basis)} does not span")
 
 
 def fundamental_circuit(
     m: BinaryMatroid, basis: frozenset[int], x: int
 ) -> frozenset[int]:
-    """The unique circuit inside basis + {x}; contains x."""
-    _check_inside(m, {x, *basis})
+    """The unique circuit inside basis + {x}; contains x.  Raises ValueError
+    unless x is an element outside the basis, and what external_activity
+    raises for basis unless it is a basis."""
+    _check_basis(m, basis)
+    if x in basis or x not in m.ground:
+        raise ValueError(f"{x} must lie inside the ground set, outside the basis")
     ordered = sorted(basis)
     basis_cols = Gf2Matrix.from_columns([m.column_of(e) for e in ordered], m.rank)
     coeffs = solve_in_basis(basis_cols, m.column_of(x))
@@ -106,20 +114,16 @@ def external_activity(m: BinaryMatroid, basis: frozenset[int]) -> int:
     not inside the ground set, and NotInSpan if it is independent but does
     not span.
     """
-    _check_inside(m, basis)
+    _check_basis(m, basis)
     echelon: list[int] = []
     count = 0
     for x in m.ground:
         residue = reduce_bits(m.column_of(x), echelon)
         if x in basis:
-            if not residue:
-                raise ValueError(f"{sorted(basis)} is dependent")
             echelon.append(residue)
             echelon.sort(reverse=True)
         elif not residue:
             count += 1
-    if len(echelon) != m.rank:
-        raise NotInSpan(f"{sorted(basis)} does not span")
     return count
 
 
@@ -127,9 +131,9 @@ def internal_activity(m: BinaryMatroid, basis: frozenset[int]) -> int:
     """Count basis elements that top their fundamental cocircuit.
 
     Computed as the external activity of the complementary basis in the dual
-    matroid.
+    matroid.  Raises what external_activity raises for basis itself.
     """
-    _check_inside(m, basis)
+    _check_basis(m, basis)
     return external_activity(m.dual(), frozenset(m.ground) - basis)
 
 

@@ -113,10 +113,10 @@ def reference_cases() -> list[BinaryMatroid]:
     """Every loopless class with rank <= 4 and size <= 8, the Fano, dual
     Fano, polygon and nonregular13 matroids, and the duals of all of these."""
     primal = [
-        BinaryMatroid(Gf2Matrix.from_columns(list(lv.labels), k))
+        BinaryMatroid(Gf2Matrix.from_columns(list(labels), k))
         for k in range(1, 5)
         for n in range(k, 9)
-        for lv in generate(k, n, "loopless")
+        for labels in generate(k, n, "loopless")
     ]
     primal += [
         matroid(rows)

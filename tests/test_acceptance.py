@@ -56,8 +56,8 @@ def _corpus():
     out = []
     for n in range(1, 9):
         for k in range(1, n + 1):
-            for lv in generate(k, n, "simple"):
-                m = matroid_of_labels(lv.labels, k)
+            for labels in generate(k, n, "simple"):
+                m = matroid_of_labels(labels, k)
                 if m.is_connected():
                     out.append(m)
     return out

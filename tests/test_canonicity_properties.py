@@ -9,14 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from matroidcat.enumeration import (
-    MultiplicityFunction,
     _complete_to_basis,
     _lex_larger_witness_columns,
     _witness_reach,
     canonical_form,
     is_canonical,
+    label_vector_of,
     lex_larger_witness,
-    transform_label,
 )
 from matroidcat.gf2 import gl_column_tuples, rank_of_labels, span_labels, transform_bits
 
@@ -31,44 +30,47 @@ def _relabellings(k: int):
 
 
 @st.composite
-def spanning_functions(draw, max_k=4):
+def spanning_label_tuples(draw, max_k=4):
+    """(labels, k, values): a sorted spanning label tuple of GF(2)^k, loops
+    included, and its multiplicities indexed by label."""
     k = draw(st.integers(1, max_k))
-    labels = draw(st.lists(st.integers(1, (1 << k) - 1), min_size=k, max_size=8))
-    assume(rank_of_labels(set(labels)) == k)
+    labels = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=k, max_size=8))
+    assume(rank_of_labels(labels) == k)
     values = [0] * (1 << k)
     for lbl in labels:
         values[lbl] += 1
-    return MultiplicityFunction(tuple(values), k)
+    return tuple(sorted(labels)), k, tuple(values)
 
 
 @settings(max_examples=300)
-@given(spanning_functions())
-def test_canonical_exactly_when_orbit_maximum(f):
-    orbit_max = max(relabel(f.values) for relabel in _relabellings(f.k))
-    assert is_canonical(f) == (f.values == orbit_max)
-    assert is_canonical(MultiplicityFunction(orbit_max, f.k))
-    top = canonical_form(f)
-    assert top.values == orbit_max
-    assert canonical_form(top) == top
-    w = lex_larger_witness(f)
+@given(spanning_label_tuples())
+def test_canonical_exactly_when_orbit_maximum(case):
+    labels, k, values = case
+    orbit_max = max(relabel(values) for relabel in _relabellings(k))
+    assert is_canonical(labels, k) == (values == orbit_max)
+    top = label_vector_of(orbit_max)
+    assert is_canonical(top, k)
+    assert canonical_form(labels, k) == top
+    assert canonical_form(top, k) == top
+    w = lex_larger_witness(labels, k)
     if w is not None:
-        image = tuple(f.values[transform_label(w, j)] for j in range(1 << f.k))
-        assert image > f.values
+        assert tuple(values[transform_bits(w, j)] for j in range(1 << k)) > values
 
 
 @settings(max_examples=300)
-@given(spanning_functions(max_k=5), st.data())
-def test_witness_rejects_every_function_that_agrees_up_to_its_reach(f, data):
+@given(spanning_label_tuples(max_k=5), st.data())
+def test_witness_rejects_every_function_that_agrees_up_to_its_reach(case, data):
     # the lemma the scan's backjumping rests on
-    cols = _lex_larger_witness_columns(f.values, f.k)
+    _, k, f = case
+    cols = _lex_larger_witness_columns(f, k)
     assume(cols is not None)
-    reach = _witness_reach(f.values, cols)
-    size = 1 << f.k
+    reach = _witness_reach(f, cols)
+    size = 1 << k
     tail = data.draw(
         st.lists(st.integers(0, 3), min_size=size - 1 - reach, max_size=size - 1 - reach)
     )
-    values = f.values[: reach + 1] + tuple(tail)
-    g = _complete_to_basis(cols, f.k)
+    values = f[: reach + 1] + tuple(tail)
+    g = _complete_to_basis(cols, k)
     assert tuple(values[transform_bits(g, j)] for j in range(size)) > values
 
 

@@ -25,6 +25,7 @@ from matroidcat.catalogue import (
     run_dual_listing,
     run_generate,
 )
+from matroidcat.enumeration import canonical_form
 from matroidcat.gf2 import gl_column_tuples, transform_bits
 from matroidcat.matroid import BinaryMatroid
 from matroidcat.tutte import TuttePolynomial, tutte_by_activities
@@ -130,7 +131,7 @@ def test_generate_with_tutte():
 
 
 def canonical_labels(m):
-    return catalogue._canonical_labels(tuple(sorted(m.matrix.columns())), m.rank)
+    return canonical_form(m.matrix.columns(), m.rank)
 
 
 def test_regular_cell_5_15_is_exactly_k6():

@@ -15,9 +15,6 @@ from matroidcat import enumeration
 from matroidcat.enumeration import (
     InvalidShape,
     LabelOutOfRange,
-    LabelVector,
-    MultiplicityFunction,
-    SingularMatrix,
     _complete_to_basis,
     _lex_larger_witness_columns,
     candidate_functions,
@@ -26,117 +23,80 @@ from matroidcat.enumeration import (
     is_canonical,
     label_vector_of,
     lex_larger_witness,
-    multiplicity_of,
-    transform_label,
 )
-from matroidcat.gf2 import Gf2Matrix, rank_of_labels
-
-
-def mf(values, k):
-    return MultiplicityFunction(tuple(values), k)
-
-
-def test_transform_label():
-    eye = Gf2Matrix.identity(3)
-    for j in range(8):
-        assert transform_label(eye, j) == j
-    g = Gf2Matrix.from_rows([[1, 1], [0, 1]])  # e1 -> e1, e2 -> e1+e2
-    assert transform_label(g, 0) == 0
-    assert transform_label(g, 2) == 3
+from matroidcat.gf2 import rank_of_labels, transform_bits
 
 
 def test_transform_label_is_permutation():
-    g = Gf2Matrix.from_rows([[0, 1, 1], [1, 1, 0], [0, 1, 0]])
-    images = [transform_label(g, j) for j in range(8)]
+    g = (2, 7, 1)  # the columns of an invertible 3 x 3 matrix
+    images = [transform_bits(g, j) for j in range(8)]
     assert sorted(images) == list(range(8))
     assert images[0] == 0
 
 
-def test_transform_label_rejects_singular():
-    g = Gf2Matrix.from_rows([[1, 1], [1, 1]])
-    with pytest.raises(SingularMatrix):
-        transform_label(g, 1)
-
-
 def test_multiplicity_function_validation():
-    mf([0, 2, 1, 1], 2)  # fine: spanning, loopless, sums to 4
-    with pytest.raises(InvalidShape):
-        mf([0, 2, 1], 2)  # wrong length
-    with pytest.raises(InvalidShape):
-        mf([1, 2, 1, 0], 2)  # loops present
-    with pytest.raises(InvalidShape):
-        mf([0, 4, 0, 0], 2)  # does not span
-    with pytest.raises(InvalidShape):
-        mf([0, -1, 1, 1], 2)
-    assert mf([0, 2, 1, 1], 2).n == 4
+    # canonical_form builds the multiplicities of its labels and checks them
+    assert canonical_form((1, 1, 2, 3), 2) == (1, 1, 2, 3)
+    assert canonical_form((0, 0, 3, 3, 2), 2) == (0, 0, 1, 1, 2)  # loops allowed
+    for not_spanning, k in (((1, 1, 1, 1), 2), ((), 1), ((0, 3, 3), 2)):
+        with pytest.raises(InvalidShape):
+            canonical_form(not_spanning, k)
+        with pytest.raises(InvalidShape):
+            is_canonical(not_spanning, k)
 
 
 def test_label_vector_validation():
-    LabelVector((1, 2, 2, 3), 2)
-    with pytest.raises(InvalidShape):
-        LabelVector((2, 1), 2)  # decreasing
-    with pytest.raises(LabelOutOfRange):
-        LabelVector((0, 1), 2)
-    with pytest.raises(LabelOutOfRange):
-        LabelVector((1, 4), 2)
+    for bad in ((1, 4), (-1, 1, 2), (1, 2, 3, 7)):
+        for check in (canonical_form, is_canonical, lex_larger_witness):
+            with pytest.raises(LabelOutOfRange):
+                check(bad, 2)
 
 
 def test_conversions_match_known_pairs():
-    assert label_vector_of(mf([0, 1, 1, 1, 1, 0, 0, 0], 3)).labels == (1, 2, 3, 4)
-    f = multiplicity_of(LabelVector((1, 2, 4, 7), 3))
-    assert f.values == (0, 1, 1, 0, 1, 0, 0, 1)
-
-
-def test_conversions_are_inverse():
-    rng = random.Random(8128)
-    for _ in range(25):
-        k = rng.randint(1, 4)
-        labels = sorted(
-            [1 << j for j in range(k)]
-            + [rng.randint(1, (1 << k) - 1) for _ in range(rng.randint(0, 4))]
-        )
-        r = LabelVector(tuple(labels), k)
-        assert label_vector_of(multiplicity_of(r)) == r
+    assert label_vector_of((0, 1, 1, 1, 1, 0, 0, 0)) == (1, 2, 3, 4)
+    assert label_vector_of((2, 0, 3, 1)) == (0, 0, 2, 2, 2, 3)
 
 
 def test_is_canonical_known_representatives():
-    assert is_canonical(mf([0, 2, 1, 0, 1, 0, 0, 0], 3))
-    assert is_canonical(mf([0, 1, 1, 1, 1, 0, 0, 0], 3))
-    assert is_canonical(mf([0, 1, 1, 0, 1, 0, 0, 1], 3))
+    assert is_canonical((1, 1, 2, 4), 3)
+    assert is_canonical((1, 2, 3, 4), 3)
+    assert is_canonical((1, 2, 4, 7), 3)
 
 
 def test_is_canonical_rejects_unit_dominance_violation():
     # f(2) > f(1) cannot be lexicographically largest
-    assert not is_canonical(mf([0, 1, 2, 0, 1, 0, 0, 0], 3))
+    assert not is_canonical((1, 2, 2, 4), 3)
+
+
+def relabelled(values, w):
+    """The multiplicity function label -> values[w(label)]."""
+    return tuple(values[transform_bits(w, j)] for j in range(len(values)))
 
 
 def test_witness_image_is_lex_larger():
-    f = mf([0, 1, 2, 0, 1, 0, 0, 0], 3)
-    w = lex_larger_witness(f)
+    f = (0, 1, 2, 0, 1, 0, 0, 0)
+    w = lex_larger_witness(label_vector_of(f), 3)
     assert w is not None
-    image = tuple(f.values[transform_label(w, j)] for j in range(8))
-    assert image > f.values
+    assert relabelled(f, w) > f
     # the scan only keeps the image prefix; its completion must still work
     cells = [(k, n, "loopless") for k in range(1, 4) for n in range(k, 7)]
     cells += [(4, n, "simple") for n in range(4, 9)]
     for k, n, cls in cells:
         rejected = 0
         for values in candidate_functions(k, n, cls):
-            f = mf(values, k)
-            w = lex_larger_witness(f)
+            w = lex_larger_witness(label_vector_of(values), k)
             if w is None:
                 continue
             rejected += 1
-            assert w.nrows == w.ncols == k and w.rank() == k
-            image = tuple(f.values[transform_label(w, j)] for j in range(1 << k))
-            assert image > f.values
+            assert len(w) == k and rank_of_labels(w) == k
+            assert relabelled(values, w) > values
         assert rejected == len(list(candidate_functions(k, n, cls))) - len(
             list(generate(k, n, cls))
         )
 
 
 def test_witness_absent_for_canonical():
-    assert lex_larger_witness(mf([0, 2, 1, 0, 1, 0, 0, 0], 3)) is None
+    assert lex_larger_witness((1, 1, 2, 4), 3) is None
 
 
 def test_complete_to_basis_appends_least_labels_outside_span():
@@ -163,17 +123,30 @@ def test_canonical_form_worked_examples():
         ((1, 2, 4, 4, 7), (1, 1, 2, 4, 7)),
         ((1, 2, 4, 5, 6), (1, 2, 3, 4, 5)),
     ):
-        f = multiplicity_of(LabelVector(labels, 3))
-        assert label_vector_of(canonical_form(f)).labels == canonical
+        assert canonical_form(labels, 3) == canonical
+
+
+def test_canonical_form_keeps_loops_in_front():
+    # every relabelling fixes label 0, so the loops stay and the rest is
+    # canonicalized on its own
+    rng = random.Random(496)
+    for _ in range(200):
+        k = rng.randint(1, 4)
+        rest = [1 << j for j in range(k)]
+        rest += [rng.randint(1, (1 << k) - 1) for _ in range(rng.randint(0, 5))]
+        rng.shuffle(rest)
+        loops = (0,) * rng.randint(1, 3)
+        expected = loops + canonical_form(rest, k)
+        assert canonical_form(loops + tuple(rest), k) == expected, (rest, k)
 
 
 def test_generate_rank3_size4():
-    assert [r.labels for r in generate(3, 4, "loopless")] == [
+    assert list(generate(3, 4, "loopless")) == [
         (1, 1, 2, 4),
         (1, 2, 3, 4),
         (1, 2, 4, 7),
     ]
-    assert [r.labels for r in generate(3, 4, "simple")] == [
+    assert list(generate(3, 4, "simple")) == [
         (1, 2, 3, 4),
         (1, 2, 4, 7),
     ]
@@ -182,7 +155,7 @@ def test_generate_rank3_size4():
 def test_generate_square_cell_is_free_matroid():
     for k in range(1, 5):
         for cls in ("loopless", "simple"):
-            out = [r.labels for r in generate(k, k, cls)]
+            out = list(generate(k, k, cls))
             assert out == [tuple(1 << j for j in range(k))]
 
 
@@ -196,7 +169,7 @@ def test_generate_rejects_bad_shape():
 def test_generate_output_is_strictly_increasing():
     for k in range(1, 4):
         for n in range(k, 7):
-            out = [r.labels for r in generate(k, n, "loopless")]
+            out = list(generate(k, n, "loopless"))
             assert out == sorted(set(out))
 
 
@@ -204,13 +177,13 @@ def test_generate_emits_spanning_canonical_functions():
     for k in range(1, 4):
         for n in range(k, 6):
             for r in generate(k, n, "loopless"):
-                assert rank_of_labels(set(r.labels)) == k
-                assert is_canonical(multiplicity_of(r))
+                assert rank_of_labels(set(r)) == k
+                assert is_canonical(r, k)
 
 
 def test_generate_simple_has_distinct_labels():
     for r in generate(3, 5, "simple"):
-        assert len(set(r.labels)) == r.n
+        assert len(set(r)) == len(r) == 5
 
 
 def test_candidates_descend_lexicographically():
@@ -364,9 +337,9 @@ def test_canonical_form_fixes_exactly_the_canonical_candidates():
         if k > 4:
             continue
         for values in _reference_scan(k, n, cls)[0]:
-            f = mf(values, k)
-            is_fixed = canonical_form(f) == f
-            assert is_fixed == is_canonical(f), (values, k)
+            labels = label_vector_of(values)
+            is_fixed = canonical_form(labels, k) == labels
+            assert is_fixed == is_canonical(labels, k), (values, k)
             fixed += is_fixed
     assert fixed
 
@@ -391,8 +364,9 @@ def test_backjumping_scan_keeps_every_canonical_tuple(monkeypatch):
     skipped = 0
     for k, n, cls in REFERENCE_CELLS:
         tested.clear()
-        out = [multiplicity_of(lv).values for lv in generate(k, n, cls)]
-        assert out == list(_reference_scan(k, n, cls)[1]), (k, n, cls)
+        out = list(generate(k, n, cls))
+        canonical = _reference_scan(k, n, cls)[1]
+        assert out == [label_vector_of(v) for v in canonical], (k, n, cls)
         # the fill without reports jumps only over rejected restrictions
         candidates = list(candidate_functions(k, n, cls))
         rest = iter(candidates)

@@ -136,17 +136,17 @@ def flats_by_corank_bruteforce(m):
 
 def test_flats_of_corank_are_all_the_flats(fano, polygon):
     cases = [
-        from_labels(lv.labels, k)
+        from_labels(labels, k)
         for k in range(1, 5)
         for n in range(k, 8)
-        for lv in generate(k, n, "loopless")
+        for labels in generate(k, n, "loopless")
     ]
     # two loops, parallel classes {2, 3, 7} and {4, 5}, rank 3
     cases.append(from_labels([0, 1, 1, 2, 2, 4, 1, 0], 3))
     cases += [
-        from_labels(lv.labels, 2).dual()
+        from_labels(labels, 2).dual()
         for n in range(2, 9)
-        for lv in generate(2, n, "loopless")
+        for labels in generate(2, n, "loopless")
     ]
     cases += [fano, polygon]
     for m in cases:
@@ -164,8 +164,8 @@ def span_closure(m, subset):
 def test_closure_by_reduction_matches_span_closure():
     for k in range(1, 5):
         for n in range(k, 9):
-            for lv in generate(k, n, "simple"):
-                m = from_labels(lv.labels, k)
+            for labels in generate(k, n, "simple"):
+                m = from_labels(labels, k)
                 independent = {c: set() for c in range(1, k + 1)}
                 for size in range(n + 1):
                     for s in itertools.combinations(m.ground, size):

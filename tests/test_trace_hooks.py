@@ -48,6 +48,8 @@ def test_trace_hooks_count_every_layer():
     for name in (
         "enumeration.canonicity.calls",
         "enumeration.candidates",
+        # generate looks label_vector_of up in its module on every class
+        "enumeration.label_vector.s",
         "matroid.build.calls",
         "catalogue.compute_flags.calls",
         "tutte.calls",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -119,6 +120,45 @@ def test_basis_methods_refuse_elements_outside_the_ground_set(fano):
     for call in calls:
         with pytest.raises(ValueError, match="must lie inside the ground set"):
             call()
+
+
+def test_fundamental_circuit_refuses_an_element_of_the_basis(fano):
+    with pytest.raises(ValueError, match="outside the basis"):
+        fundamental_circuit(fano, frozenset({1, 2, 4}), 1)
+    for b in bases(fano):
+        for x in b:
+            with pytest.raises(ValueError, match="outside the basis"):
+                fundamental_circuit(fano, b, x)
+
+
+def test_basis_methods_refuse_non_bases_alike(fano):
+    # each raises what external_activity raises, naming the set it was given
+    with pytest.raises(NotInSpan, match=r"^\[1, 2\] does not span$"):
+        internal_activity(fano, frozenset({1, 2}))
+    with pytest.raises(ValueError, match=r"^\[1, 2, 4, 5\] is dependent$"):
+        internal_activity(fano, frozenset({1, 2, 4, 5}))
+    refused = 0
+    for size in range(fano.size + 1):
+        for subset in itertools.combinations(fano.ground, size):
+            s = frozenset(subset)
+            rank = fano.rank_of(s)
+            if rank == len(s) == fano.rank:
+                continue
+            if rank < len(s):
+                expected = ValueError, f"{sorted(s)} is dependent"
+            else:
+                expected = NotInSpan, f"{sorted(s)} does not span"
+            calls = [external_activity, internal_activity]
+            outside = sorted(set(fano.ground) - s)
+            if outside:
+                calls.append(lambda m, b: fundamental_circuit(m, b, outside[0]))
+            for call in calls:
+                with pytest.raises(Exception) as info:
+                    call(fano, s)
+                assert (info.type, str(info.value)) == expected, (call, s)
+                refused += 1
+    # 128 - 28 non-bases; all but the whole ground set leave an x outside
+    assert refused == 3 * 100 - 1
 
 
 def test_external_activity_parallel_pair():
