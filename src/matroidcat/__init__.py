@@ -28,8 +28,6 @@ from .matroid import (
     CircuitSpaceTooLarge,
     CorankTooLarge,
     DependentContractionSet,
-    OracleTooLarge,
-    is_isomorphic_bruteforce,
 )
 from .regularity import FanoWitness, is_fano, is_fano_dual, is_regular
 from .tutte import (
@@ -55,7 +53,6 @@ __all__ = [
     "InvalidShape",
     "LabelOutOfRange",
     "NotInSpan",
-    "OracleTooLarge",
     "PivotOnZero",
     "ResourceGuard",
     "TuttePolynomial",
@@ -68,7 +65,6 @@ __all__ = [
     "is_canonical",
     "is_fano",
     "is_fano_dual",
-    "is_isomorphic_bruteforce",
     "is_regular",
     "label_vector_of",
     "lex_larger_witness",

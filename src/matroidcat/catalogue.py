@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional
 
 from .enumeration import InvalidShape, canonical_form, generate
-from .gf2 import Gf2Matrix, nullspace_of_reduced
+from .gf2 import Gf2Matrix, nullspace_of_reduced, rank_of_labels
 from .matroid import BinaryMatroid
 from .orbits import class_counts
 from .regularity import is_regular
@@ -91,8 +91,9 @@ class CatalogueEntry:
     @classmethod
     def from_line(cls, line: str) -> "CatalogueEntry":
         """The entry of a line that to_line writes; ValueError on any other:
-        n non-decreasing labels below 2^k (label 0 is a loop), and a Tutte
-        grid, if any, of (k + 1) x (n - k + 1) coefficients."""
+        n non-decreasing labels below 2^k (label 0 is a loop) that span
+        GF(2)^k, and a Tutte grid, if any, of (k + 1) x (n - k + 1)
+        coefficients."""
         match = _LINE.fullmatch(line)
         if match is None:
             raise ValueError(f"malformed catalogue line {line!r}")
@@ -104,6 +105,8 @@ class CatalogueEntry:
         entry = cls(k, n, labels, flags, tutte, bool(dualized))
         if len(labels) != n or list(labels) != sorted(labels) or labels[-1] >> k:
             raise ValueError(f"{line!r} does not list {n} sorted labels below 2^{k}")
+        if rank_of_labels(labels) != k:
+            raise ValueError(f"{line!r} has labels that do not span GF(2)^{k}")
         if tutte and (tutte.max_x, tutte.max_y) != (k, n - k):
             raise ValueError(f"{line!r} has a Tutte grid of the wrong shape")
         if entry.to_line() != line:

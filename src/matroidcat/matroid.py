@@ -7,11 +7,12 @@ values.  Circuits are minimal supports of null-space vectors, cocircuits
 minimal supports of row-space vectors, hyperplanes their complements.
 Rank and closure come from one echelon basis of the columns: its length is
 the rank, and a column lies in the closure when it reduces to 0 against it.
-A flat of rank r is the closure of an independent set of size r.  Minors go
-through the pivot transform.  The reduced row echelon form computed at
-construction, which checks the rank, is kept: its rows are the fundamental
-cocircuits of the lex-first basis, and connectivity and the Tutte
-polynomial read them directly.
+A flat of rank r is the closure of an independent set of size r.  A
+contraction reduces the columns against those it contracts, a deletion
+re-echelons the rows of the columns left.  The reduced row echelon form
+computed at construction, which checks the rank, is kept: its rows are the
+fundamental cocircuits of the lex-first basis, and connectivity and the
+Tutte polynomial read them directly.
 """
 
 from __future__ import annotations
@@ -23,13 +24,10 @@ from typing import Iterable
 from .gf2 import (
     Gf2Matrix,
     echelon_basis,
-    gl_column_tuples,
-    gl_group_order,
     nullspace_of_reduced,
     rank_of_labels,
     reduce_bits,
     span_labels,
-    transform_bits,
 )
 
 
@@ -49,16 +47,8 @@ class CircuitSpaceTooLarge(MatroidError):
     """Null space too large to enumerate (corank above the hard bound)."""
 
 
-class OracleTooLarge(MatroidError):
-    """Brute-force isomorphism search space exceeds the configured bound."""
-
-
 # circuits require walking 2^(n-k) null-space vectors; refuse beyond this
 _MAX_CIRCUIT_CORANK = 20
-
-# largest GL(k, 2) that a brute-force search over it may walk; exceeded from
-# rank 5 on (|GL(5, 2)| = 9,999,360)
-BRUTEFORCE_MAX_GROUP_ORDER = 2_000_000
 
 
 def _minimal_supports(vectors: Iterable[int], max_weight: int) -> list[int]:
@@ -102,7 +92,6 @@ class BinaryMatroid:
         # pivot with respect to the basis of all pivots, the lex-first one
         self.reduced = reduced
         self.ground = ground
-        self._col_index = {e: j + 1 for j, e in enumerate(ground)}
         self._columns = dict(zip(ground, matrix.columns()))
 
     @property
@@ -216,12 +205,13 @@ class BinaryMatroid:
     # -- minors and duality ------------------------------------------------
 
     def contract_independent(self, subset: Iterable[int]) -> "BinaryMatroid":
-        """Contract an independent set via pivots and row deletion.
+        """Contract an independent set by reducing the columns against its own.
 
         Elements are processed in ascending label order.  Each one claims the
-        smallest not-yet-claimed row holding a 1 in its column (pivoting there
-        first when the column is not already a unit vector); the claimed rows
-        and the contracted columns are then removed.
+        lowest row not yet claimed that holds a 1 in its current column, and
+        that column is added to every other remaining column with a 1 in the
+        row: this is the pivot there, up to the claimed rows, which are
+        dropped at the end with the contracted columns.
         """
         todo = frozenset(subset)
         if not todo <= set(self.ground):
@@ -231,24 +221,19 @@ class BinaryMatroid:
         if not todo:
             return self
 
-        work = self.matrix
+        cols = dict(self._columns)
         claimed = 0  # bitmask of consumed rows
         for e in sorted(todo):
-            j = self._col_index[e]
-            col = work.column_bits(j)
-            free = col & ~claimed
-            row = (free & -free).bit_length()  # smallest free row, 1-based
-            if col != 1 << (row - 1):
-                work = work.pivot(row, j)
-            claimed |= 1 << (row - 1)
-
-        kept_rows = [
-            work.rows[i] for i in range(work.nrows) if not (claimed >> i) & 1
-        ]
-        dropped_cols = sorted(self._col_index[e] - 1 for e in todo)
-        new_rows = [_drop_bits(r, dropped_cols) for r in kept_rows]
-        ground = tuple(e for e in self.ground if e not in todo)
-        return BinaryMatroid(Gf2Matrix(new_rows, len(ground)), ground)
+            c = cols.pop(e)
+            free = c & ~claimed
+            bit = free & -free  # lowest free row holding a 1
+            cols = {f: d ^ c if d & bit else d for f, d in cols.items()}
+            claimed |= bit
+        dropped = [i for i in range(self.rank) if (claimed >> i) & 1]
+        matrix = Gf2Matrix.from_columns(
+            [_drop_bits(c, dropped) for c in cols.values()], self.rank - len(todo)
+        )
+        return BinaryMatroid(matrix, tuple(cols))
 
     def delete(self, subset: Iterable[int]) -> "BinaryMatroid":
         """Remove elements; the rows become an echelon basis of the row space
@@ -308,34 +293,3 @@ def _drop_bits(row: int, positions: list[int]) -> int:
         prev = p + 1
     out |= (row >> prev) << shift
     return out
-
-
-def is_isomorphic_bruteforce(m1: BinaryMatroid, m2: BinaryMatroid) -> bool:
-    """Exhaustive isomorphism test: some invertible row transform must map
-    one column multiset onto the other.
-
-    Meant as a test oracle for small instances; raises OracleTooLarge when
-    the group is bigger than BRUTEFORCE_MAX_GROUP_ORDER.
-    """
-    if (m1.rank, m1.size) != (m2.rank, m2.size):
-        return False
-    k = m1.rank
-    if k == 0:
-        return True
-    if gl_group_order(k) > BRUTEFORCE_MAX_GROUP_ORDER:
-        raise OracleTooLarge(
-            f"|GL_{k}(2)| = {gl_group_order(k)} exceeds bound "
-            f"{BRUTEFORCE_MAX_GROUP_ORDER}"
-        )
-    cols1 = [m1.column_of(e) for e in m1.ground]
-    target = sorted(m2.column_of(e) for e in m2.ground)
-    # multiplicity profile and loop count are invariants; screen cheaply
-    def profile(cols: list[int]) -> list[int]:
-        return sorted(cols.count(c) for c in set(cols))
-
-    if profile(cols1) != profile(target):
-        return False
-    for g in gl_column_tuples(k):
-        if sorted(transform_bits(g, c) for c in cols1) == target:
-            return True
-    return False

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 
 import pytest
 from hypothesis import assume, settings
@@ -164,6 +166,25 @@ def binary_matroids(draw, max_k: int = 5, max_n: int = 10) -> BinaryMatroid:
     return BinaryMatroid(Gf2Matrix.from_columns([cols[j] for j in order], k))
 
 
+@functools.cache
+def relabellings(k: int) -> list[operator.itemgetter]:
+    """The brute-force reference for GL(k, 2): one itemgetter per invertible
+    matrix g, taking values indexed by label to (values[g(j)])_j."""
+    return [
+        operator.itemgetter(*(transform_bits(g, j) for j in range(1 << k)))
+        for g in gl_column_tuples(k)
+    ]
+
+
+def orbit_maximum(labels, k: int) -> tuple[int, ...]:
+    """The largest multiplicity function, indexed by label, in the GL(k, 2)
+    orbit of the labels', by brute force."""
+    values = [0] * (1 << k)
+    for lbl in labels:
+        values[lbl] += 1
+    return max(relabel(values) for relabel in relabellings(k))
+
+
 def orbit_count(k: int, n: int, simple: bool) -> int:
     """Classify all spanning candidate functions under the full group action."""
     labels = range(1, 1 << k)
@@ -180,18 +201,13 @@ def orbit_count(k: int, n: int, simple: bool) -> int:
         for lbl in multiset:
             values[lbl] += 1
         funcs.add(tuple(values))
-    group = list(gl_column_tuples(k))
     seen: set = set()
     orbits = 0
     for f in sorted(funcs):
         if f in seen:
             continue
         orbits += 1
-        for g in group:
-            image = [0] * (1 << k)
-            for j in range(1 << k):
-                image[transform_bits(g, j)] = f[j]
-            seen.add(tuple(image))
+        seen.update(relabel(f) for relabel in relabellings(k))
     return orbits
 
 

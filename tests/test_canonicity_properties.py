@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import functools
-import operator
-
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import relabellings
 from matroidcat.enumeration import (
     _complete_to_basis,
     _lex_larger_witness_columns,
@@ -17,16 +15,7 @@ from matroidcat.enumeration import (
     label_vector_of,
     lex_larger_witness,
 )
-from matroidcat.gf2 import gl_column_tuples, rank_of_labels, span_labels, transform_bits
-
-
-@functools.cache
-def _relabellings(k: int):
-    """One itemgetter per invertible matrix g: values -> (values[g(j)])_j."""
-    return [
-        operator.itemgetter(*(transform_bits(g, j) for j in range(1 << k)))
-        for g in gl_column_tuples(k)
-    ]
+from matroidcat.gf2 import rank_of_labels, span_labels, transform_bits
 
 
 @st.composite
@@ -46,7 +35,7 @@ def spanning_label_tuples(draw, max_k=4):
 @given(spanning_label_tuples())
 def test_canonical_exactly_when_orbit_maximum(case):
     labels, k, values = case
-    orbit_max = max(relabel(values) for relabel in _relabellings(k))
+    orbit_max = max(relabel(values) for relabel in relabellings(k))
     assert is_canonical(labels, k) == (values == orbit_max)
     top = label_vector_of(orbit_max)
     assert is_canonical(top, k)

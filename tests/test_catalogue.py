@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import operator
 import os
 import subprocess
 import sys
@@ -13,7 +12,7 @@ import pytest
 
 import matroidcat.catalogue as catalogue
 import matroidcat.regularity as regularity
-from conftest import R10_LABELS, cycle_matroid_of_complete_graph
+from conftest import R10_LABELS, cycle_matroid_of_complete_graph, orbit_maximum
 from matroidcat.catalogue import (
     CatalogueEntry,
     MATROID_CLASSES,
@@ -26,7 +25,6 @@ from matroidcat.catalogue import (
     run_generate,
 )
 from matroidcat.enumeration import canonical_form
-from matroidcat.gf2 import gl_column_tuples, transform_bits
 from matroidcat.matroid import BinaryMatroid
 from matroidcat.tutte import TuttePolynomial, tutte_by_activities
 
@@ -94,6 +92,13 @@ def test_from_line_rejects_garbage():
         "k=3 n=4 r=(1,2,4,7) flags=LSCR ",
     ):
         with pytest.raises(ValueError):
+            CatalogueEntry.from_line(line)
+
+
+def test_from_line_rejects_labels_that_do_not_span():
+    # to_line never writes them, and matroid_of_labels could not build them
+    for line in ("k=3 n=3 r=(1,1,2) flags=", "k=3 n=1 r=(1) flags=LS"):
+        with pytest.raises(ValueError, match="do not span"):
             CatalogueEntry.from_line(line)
 
 
@@ -300,17 +305,10 @@ def test_dual_listing_canonicalize_recovers_standard_representatives():
 def test_dual_listing_canonicalize_keeps_loops():
     # duals of matroids with coloops have loops, which every relabelling
     # fixes; the rest must be the orbit minimum over GL(4, 2)
-    group = [
-        operator.itemgetter(*(transform_bits(g, j) for j in range(16)))
-        for g in gl_column_tuples(4)
-    ]
     entries = run_dual_listing(4, 7, "loopless", out="/dev/null", canonicalize=True)
     expected = []
     for e in run_dual_listing(4, 7, "loopless", out="/dev/null"):
-        values = [0] * 16
-        for lbl in e.labels:
-            values[lbl] += 1
-        top = max(relabel(values) for relabel in group)
+        top = orbit_maximum(e.labels, 4)
         labels = tuple(lbl for lbl in range(16) for _ in range(top[lbl]))
         expected.append((labels, e.flags))
     assert [(e.labels, e.flags) for e in entries] == sorted(expected)

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import itertools
-import random
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     CONTRACTED_BLOCK_ROWS,
@@ -16,17 +16,12 @@ from conftest import (
     POLYGON_CIRCUITS,
     binary_matroids,
     matroid,
+    orbit_maximum,
     reference_cases,
 )
-from matroidcat.enumeration import generate
+from matroidcat.enumeration import canonical_form, generate
 from matroidcat.gf2 import Gf2Matrix, span_labels
-from matroidcat.matroid import (
-    BinaryMatroid,
-    CorankTooLarge,
-    DependentContractionSet,
-    OracleTooLarge,
-    is_isomorphic_bruteforce,
-)
+from matroidcat.matroid import BinaryMatroid, CorankTooLarge, DependentContractionSet
 
 
 def from_labels(labels, k):
@@ -274,6 +269,21 @@ def test_contract_in_two_steps_matches_one_step(fano):
     assert stepped.ground == both.ground
 
 
+@settings(max_examples=300)
+@given(binary_matroids(max_k=6, max_n=11), st.data())
+def test_contraction_circuits_are_the_minimal_circuit_remainders(m, data):
+    # the circuits of M/S are the minimal nonempty sets C - S, C a circuit of
+    # M (Oxley, Prop. 3.1.11); S is grown greedily from a drawn order
+    order = data.draw(st.permutations(m.ground))
+    s: set[int] = set()
+    for e in order[: data.draw(st.integers(0, m.size))]:
+        if m.rank_of(s | {e}) == len(s) + 1:
+            s.add(e)
+    remainders = {c - s for c in m.circuits}
+    minimal = {c for c in remainders if c and not any(d < c for d in remainders if d)}
+    assert m.contract_independent(s).circuits == minimal
+
+
 def test_delete(fano):
     smaller = fano.delete({7})
     assert smaller.ground == (1, 2, 3, 4, 5, 6)
@@ -377,35 +387,21 @@ def test_is_connected_matches_linked_circuits(m):
 
 
 def test_isomorphic_fano_representations():
-    assert is_isomorphic_bruteforce(matroid(FANO_ROWS), matroid(FANO_ALT_ROWS))
+    # binary matroids are uniquely representable, so isomorphism is equality
+    # of canonical forms, which the brute-force orbit maxima confirm
+    fano, alt = (matroid(rows).matrix.columns() for rows in (FANO_ROWS, FANO_ALT_ROWS))
+    assert canonical_form(fano, 3) == canonical_form(alt, 3)
+    assert orbit_maximum(fano, 3) == orbit_maximum(alt, 3)
 
 
 def test_non_isomorphic_same_shape():
-    assert not is_isomorphic_bruteforce(
-        from_labels([1, 2, 3, 4], 3), from_labels([1, 2, 4, 7], 3)
-    )
+    a, b = (1, 2, 3, 4), (1, 2, 4, 7)
+    assert canonical_form(a, 3) != canonical_form(b, 3)
+    assert orbit_maximum(a, 3) != orbit_maximum(b, 3)
 
 
-def test_isomorphic_to_itself(fano):
-    assert is_isomorphic_bruteforce(fano, fano)
-
-
-def test_isomorphic_shape_mismatch_is_false(fano):
-    assert not is_isomorphic_bruteforce(fano, PARALLEL_PAIR)
-
-
-def test_isomorphism_oracle_guards_large_groups():
-    big = BinaryMatroid(Gf2Matrix.identity(5))
-    with pytest.raises(OracleTooLarge):
-        is_isomorphic_bruteforce(big, big)
-
-
-def test_double_dual_isomorphic_small():
-    rng = random.Random(31)
-    for _ in range(10):
-        k = rng.randint(1, 3)
-        n = rng.randint(k, k + 3)
-        labels = [1 << j for j in range(k)]
-        labels += [rng.randint(1, (1 << k) - 1) for _ in range(n - k)]
-        m = from_labels(sorted(labels), k)
-        assert is_isomorphic_bruteforce(m.dual().dual(), m)
+@given(binary_matroids())
+def test_double_dual_isomorphic_small(m):
+    double = m.dual().dual()
+    assert double.ground == m.ground
+    assert double.reduced == m.reduced
