@@ -22,7 +22,7 @@ from .enumeration import (
     label_vector_of,
     lex_larger_witness,
 )
-from .gf2 import Gf2Matrix, NotInSpan, PivotOnZero, solve_in_basis
+from .gf2 import Gf2Matrix, NotInSpan, solve_in_basis
 from .matroid import (
     BinaryMatroid,
     CircuitSpaceTooLarge,
@@ -53,7 +53,6 @@ __all__ = [
     "InvalidShape",
     "LabelOutOfRange",
     "NotInSpan",
-    "PivotOnZero",
     "ResourceGuard",
     "TuttePolynomial",
     "UnwritableOutput",

@@ -92,8 +92,8 @@ class CatalogueEntry:
     def from_line(cls, line: str) -> "CatalogueEntry":
         """The entry of a line that to_line writes; ValueError on any other:
         n non-decreasing labels below 2^k (label 0 is a loop) that span
-        GF(2)^k, and a Tutte grid, if any, of (k + 1) x (n - k + 1)
-        coefficients."""
+        GF(2)^k, L and S flags as the labels give them, and a Tutte grid,
+        if any, of (k + 1) x (n - k + 1) coefficients."""
         match = _LINE.fullmatch(line)
         if match is None:
             raise ValueError(f"malformed catalogue line {line!r}")
@@ -107,6 +107,8 @@ class CatalogueEntry:
             raise ValueError(f"{line!r} does not list {n} sorted labels below 2^{k}")
         if rank_of_labels(labels) != k:
             raise ValueError(f"{line!r} has labels that do not span GF(2)^{k}")
+        if flags.rstrip("CR") != _loop_flags(labels):
+            raise ValueError(f"{line!r} has L and S flags its labels contradict")
         if tutte and (tutte.max_x, tutte.max_y) != (k, n - k):
             raise ValueError(f"{line!r} has a Tutte grid of the wrong shape")
         if entry.to_line() != line:
@@ -119,21 +121,23 @@ def matroid_of_labels(labels: Iterable[int], k: int) -> BinaryMatroid:
     return BinaryMatroid(Gf2Matrix.from_columns(list(labels), k))
 
 
+def _loop_flags(labels: tuple[int, ...]) -> str:
+    """The L and S flags of the labels: L for no loop (label 0), and S for
+    no loop and no two labels equal."""
+    if 0 in labels:
+        return ""
+    return "LS" if len(set(labels)) == len(labels) else "L"
+
+
 def compute_flags(labels: tuple[int, ...], m: BinaryMatroid) -> str:
     """The L, S, C, R flags of the entry whose columns the labels list.
 
-    L and S are read off the labels: no loop (label 0), and no loop and no
-    two labels equal.  C and R are decided on m, the entry's own matroid or
-    its dual: connectivity (for two or more elements) and regularity are
-    invariant under duality, so dual-listing passes the generated side,
-    whose low rank keeps both checks cheap.
+    L and S are read off the labels (_loop_flags).  C and R are decided on
+    m, the entry's own matroid or its dual: connectivity (for two or more
+    elements) and regularity are invariant under duality, so dual-listing
+    passes the generated side, whose low rank keeps both checks cheap.
     """
-    flags = ""
-    loopless = 0 not in labels
-    if loopless:
-        flags += "L"
-    if loopless and len(set(labels)) == len(labels):
-        flags += "S"
+    flags = _loop_flags(labels)
     if m.is_connected():
         flags += "C"
     if is_regular(m)[0]:

@@ -99,8 +99,10 @@ def label_vector_of(values: Sequence[int]) -> tuple[int, ...]:
 
 def _multiplicities(labels: Iterable[int], k: int) -> list[int]:
     """Multiplicities of a label multiset of GF(2)^k, indexed by label;
-    LabelOutOfRange for a label outside 0..2^k - 1, InvalidShape unless the
-    labels span GF(2)^k."""
+    LabelOutOfRange for a label outside 0..2^k - 1, InvalidShape for k < 0
+    or unless the labels span GF(2)^k."""
+    if k < 0:
+        raise InvalidShape(f"rank {k} is negative")
     values = [0] * (1 << k)
     for x in labels:
         if not 0 <= x < len(values):

@@ -2,26 +2,21 @@
 
 A vector is a plain Python int: bit ``i-1`` holds coordinate ``i``, so
 coordinate 1 is the least significant bit.  Matrix rows and columns are such
-ints too.  The public indices of a matrix (rows, columns) are 1-based.
+ints too.  The pivot columns ``rref`` returns are 1-based.
 Addition is XOR, the scalar product is the parity of AND,
 ``(a & b).bit_count() & 1``.  Everything here is a pure function on
 immutable values.
 
 Two eliminations do all the work.  ``Gf2Matrix.rref`` gives the reduced
-row echelon form with leftmost pivots; ``nullspace_basis`` reads the null
-space off it through ``nullspace_of_reduced``.  ``echelon_basis`` and
-``reduce_bits`` eliminate on bare bitmasks, skipping the matrix objects:
-``rank``, ``rank_of_labels``, ``row_space`` and ``solve_in_basis`` are built
-on them.
+row echelon form with leftmost pivots, and ``nullspace_of_reduced`` reads
+the null space off it.  ``echelon_basis`` and ``reduce_bits`` eliminate on
+bare bitmasks, skipping the matrix objects: ``rank_of_labels`` and
+``solve_in_basis`` are built on them, and ``span_labels`` lists a span.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
-
-
-class PivotOnZero(Exception):
-    """Pivot requested at a position holding 0."""
+from typing import Sequence
 
 
 class NotInSpan(Exception):
@@ -76,6 +71,8 @@ class Gf2Matrix:
     @classmethod
     def from_columns(cls, columns: Sequence[int], nrows: int) -> "Gf2Matrix":
         """Build from column bitmasks (bit i-1 of a column = entry in row i)."""
+        if nrows < 0:
+            raise ValueError("nrows must be non-negative")
         for c in columns:
             if c < 0 or c >> nrows:
                 raise ValueError(f"column 0x{c:x} does not fit in {nrows} rows")
@@ -84,28 +81,6 @@ class Gf2Matrix:
     @classmethod
     def identity(cls, k: int) -> "Gf2Matrix":
         return cls([1 << i for i in range(k)], k)
-
-    def row(self, i: int) -> int:
-        """Row i as a bitmask over columns (bit j-1 = entry in column j)."""
-        if not 1 <= i <= self.nrows:
-            raise IndexError(f"row {i} out of range 1..{self.nrows}")
-        return self.rows[i - 1]
-
-    def entry(self, i: int, j: int) -> int:
-        if not 1 <= i <= self.nrows:
-            raise IndexError(f"row {i} out of range 1..{self.nrows}")
-        if not 1 <= j <= self.ncols:
-            raise IndexError(f"column {j} out of range 1..{self.ncols}")
-        return (self.rows[i - 1] >> (j - 1)) & 1
-
-    def column_bits(self, j: int) -> int:
-        """Column j as a bitmask over rows (bit i-1 = entry in row i)."""
-        if not 1 <= j <= self.ncols:
-            raise IndexError(f"column {j} out of range 1..{self.ncols}")
-        c = 0
-        for i, r in enumerate(self.rows):
-            c |= ((r >> (j - 1)) & 1) << i
-        return c
 
     def columns(self) -> tuple[int, ...]:
         """All columns as bitmasks, left to right."""
@@ -154,47 +129,6 @@ class Gf2Matrix:
                 break
         return Gf2Matrix(work, self.ncols), tuple(pivot_cols)
 
-    def rank(self) -> int:
-        """Dimension of the row space."""
-        return rank_of_labels(self.rows)
-
-    def nullspace_basis(self) -> "Gf2Matrix":
-        """Basis of the orthogonal complement of the row space.
-
-        Returns an (n - rank) x n matrix; every returned row has zero scalar
-        product with every row of self.
-        """
-        return nullspace_of_reduced(self.rref()[0])
-
-    def row_space(self) -> list[int]:
-        """All 2^rank distinct vectors of the row span, zero vector first."""
-        span = [0]
-        for b in echelon_basis(self.rows):
-            span += [b ^ x for x in span]
-        return span
-
-    def pivot(self, alpha: int, beta: int) -> "Gf2Matrix":
-        """Pivot at entry (alpha, beta), which must be 1.
-
-        Every entry outside row alpha and column beta picks up the product of
-        its projections onto them; row alpha and column beta are unchanged.
-        The operation is an involution.
-        """
-        if not 1 <= alpha <= self.nrows or not 1 <= beta <= self.ncols:
-            raise IndexError(f"pivot position ({alpha}, {beta}) out of range")
-        bbit = 1 << (beta - 1)
-        arow = self.rows[alpha - 1]
-        if not arow & bbit:
-            raise PivotOnZero(f"entry ({alpha}, {beta}) is 0")
-        new_rows = []
-        for i, r in enumerate(self.rows):
-            if i != alpha - 1 and r & bbit:
-                # add row alpha everywhere except the pivot column itself
-                new_rows.append(r ^ (arow & ~bbit))
-            else:
-                new_rows.append(r)
-        return Gf2Matrix(new_rows, self.ncols)
-
 
 def solve_in_basis(basis_cols: Gf2Matrix, target: int) -> int:
     """Coefficients c with basis_cols . c = target, for independent columns.
@@ -222,10 +156,11 @@ def solve_in_basis(basis_cols: Gf2Matrix, target: int) -> int:
 
 
 def nullspace_of_reduced(reduced: Gf2Matrix) -> Gf2Matrix:
-    """``nullspace_basis`` of a matrix already in reduced row echelon form,
-    without eliminating again: the pivot of each nonzero row is its lowest
-    set bit.  One basis vector per free column, in increasing order; it
-    holds that column and every pivot whose row has a 1 there.
+    """Basis of the orthogonal complement of the row space of a matrix in
+    reduced row echelon form, as an (n - rank) x n matrix, without
+    eliminating again: the pivot of each nonzero row is its lowest set bit.
+    One basis vector per free column, in increasing order; it holds that
+    column and every pivot whose row has a 1 there.
     """
     rows = [r for r in reduced.rows if r]
     pivots = [r & -r for r in rows]
@@ -287,25 +222,6 @@ def gl_group_order(k: int) -> int:
     for i in range(k):
         order *= (1 << k) - (1 << i)
     return order
-
-
-def gl_column_tuples(k: int) -> Iterator[tuple[int, ...]]:
-    """Every invertible k x k matrix, as the tuple of its column bitmasks.
-
-    Intended for brute-force work at small k; the group order grows like
-    2^(k^2), so callers should gate on gl_group_order first.
-    """
-    size = 1 << k
-
-    def extend(cols: tuple[int, ...], span: set[int]) -> Iterator[tuple[int, ...]]:
-        if len(cols) == k:
-            yield cols
-            return
-        for v in range(1, size):
-            if v not in span:
-                yield from extend(cols + (v,), span | {v ^ x for x in span})
-
-    yield from extend((), {0})
 
 
 def transform_bits(column_tuple: Sequence[int], v: int) -> int:

@@ -42,9 +42,6 @@ class TuttePolynomial:
     def max_y(self) -> int:
         return len(self.grid[0]) - 1
 
-    def coefficient(self, i: int, j: int) -> int:
-        return self.grid[i][j]
-
     def total(self) -> int:
         """Sum of all coefficients; equals the number of bases."""
         return sum(sum(row) for row in self.grid)

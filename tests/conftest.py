@@ -5,13 +5,14 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from typing import Iterator
 
 import pytest
 from hypothesis import assume, settings
 from hypothesis import strategies as st
 
 from matroidcat.enumeration import generate
-from matroidcat.gf2 import Gf2Matrix, gl_column_tuples, rank_of_labels, transform_bits
+from matroidcat.gf2 import Gf2Matrix, rank_of_labels, transform_bits
 from matroidcat.matroid import BinaryMatroid
 
 # every property test draws the same examples on every run, with no stored
@@ -52,25 +53,6 @@ NONREGULAR_13_ROWS = [
     [0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0],
     [0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 0, 1, 1],
     [0, 0, 0, 0, 1, 1, 1, 1, 0, 1, 1, 0, 0],
-]
-
-# The non-identity block of NONREGULAR_13_ROWS (columns 6..13).
-STANDARD_BLOCK_ROWS = [
-    [1, 0, 1, 1, 0, 1, 1, 0],
-    [1, 0, 1, 0, 0, 0, 1, 1],
-    [0, 1, 0, 1, 0, 1, 0, 0],
-    [0, 0, 1, 1, 1, 0, 1, 1],
-    [1, 1, 1, 0, 1, 1, 0, 0],
-]
-
-# STANDARD_BLOCK_ROWS pivoted at row 3, column 2: only row 5 changes,
-# because rows 1, 2, 4 have a zero in column 2.
-PIVOTED_BLOCK_ROWS = [
-    [1, 0, 1, 1, 0, 1, 1, 0],
-    [1, 0, 1, 0, 0, 0, 1, 1],
-    [0, 1, 0, 1, 0, 1, 0, 0],
-    [0, 0, 1, 1, 1, 0, 1, 1],
-    [1, 1, 1, 1, 1, 0, 0, 0],
 ]
 
 # Standard form of the contraction of NONREGULAR_13 by {2, 7}: the basis
@@ -164,6 +146,22 @@ def binary_matroids(draw, max_k: int = 5, max_n: int = 10) -> BinaryMatroid:
     cols = labels + [1 << (body + i) for i in range(coloops)]
     order = draw(st.permutations(range(n)))
     return BinaryMatroid(Gf2Matrix.from_columns([cols[j] for j in order], k))
+
+
+def gl_column_tuples(k: int) -> Iterator[tuple[int, ...]]:
+    """Every invertible k x k matrix over GF(2), as the tuple of its column
+    bitmasks: each column is any vector outside the span of those before it."""
+    size = 1 << k
+
+    def extend(cols: tuple[int, ...], span: set[int]) -> Iterator[tuple[int, ...]]:
+        if len(cols) == k:
+            yield cols
+            return
+        for v in range(1, size):
+            if v not in span:
+                yield from extend(cols + (v,), span | {v ^ x for x in span})
+
+    yield from extend((), {0})
 
 
 @functools.cache

@@ -91,8 +91,8 @@ def test_criterion_2_contraction_regression():
         minor = m.contract_independent({2, 7})
         block = Gf2Matrix.from_rows(CONTRACTED_BLOCK_ROWS)
         assert minor.ground == (1, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13)
-        for j, e in enumerate(CONTRACTED_COLUMN_ORDER, start=1):
-            assert minor.column_of(e) == block.column_bits(j)
+        for e, column in zip(CONTRACTED_COLUMN_ORDER, block.columns()):
+            assert minor.column_of(e) == column
         assert [minor.column_of(e) for e in (1, 4, 5)] == [1, 2, 4]
         assert is_fano(minor.simplify()[0])
         assert is_regular(m)[0] is False

@@ -90,6 +90,8 @@ def test_from_line_rejects_garbage():
         "k=3 n=4 r=(1,2,4,7) flags=LSCR dualized tutte=0,1;1,0;1,0;1,0",
         "k=3  n=4 r=(1,2,4,7) flags=LSCR",
         "k=3 n=4 r=(1,2,4,7) flags=LSCR ",
+        "k=1 n=2 r=(0,1) flags=LS",
+        "k=1 n=1 r=(1) flags=SC",
     ):
         with pytest.raises(ValueError):
             CatalogueEntry.from_line(line)

@@ -45,6 +45,12 @@ def test_multiplicity_function_validation():
             is_canonical(not_spanning, k)
 
 
+def test_negative_rank_is_an_invalid_shape():
+    for check in (canonical_form, is_canonical, lex_larger_witness):
+        with pytest.raises(InvalidShape, match="negative"):
+            check([1], -1)
+
+
 def test_label_vector_validation():
     for bad in ((1, 4), (-1, 1, 2), (1, 2, 3, 7)):
         for check in (canonical_form, is_canonical, lex_larger_witness):

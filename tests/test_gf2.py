@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FANO_DUAL_ROWS, FANO_ROWS, PIVOTED_BLOCK_ROWS, STANDARD_BLOCK_ROWS
+from conftest import FANO_DUAL_ROWS, FANO_ROWS, gl_column_tuples
 from matroidcat.gf2 import (
     Gf2Matrix,
     NotInSpan,
-    PivotOnZero,
-    gl_column_tuples,
+    echelon_basis,
     gl_group_order,
     nullspace_of_reduced,
     rank_of_labels,
@@ -43,8 +42,7 @@ def test_matrix_constructors_agree():
     assert m.entries() == rows
     assert m.nrows == 2 and m.ncols == 3
     # column j packs entry (i, j) into bit i-1
-    assert m.column_bits(1) == 0b01
-    assert m.column_bits(3) == 0b11
+    assert m.columns() == (0b01, 0b10, 0b11)
     again = Gf2Matrix.from_columns(m.columns(), 2)
     assert again == m
     assert Gf2Matrix.identity(3).entries() == [
@@ -56,10 +54,7 @@ def test_matrix_constructors_agree():
 
 def test_rows_are_bitmasks():
     m = Gf2Matrix.from_rows([[1, 0, 1], [0, 1, 1]])
-    assert (m.row(1), m.row(2)) == (0b101, 0b110) == m.rows
-    for i in (0, -1, 3):
-        with pytest.raises(IndexError, match="out of range 1..2"):
-            m.row(i)
+    assert m.rows == (0b101, 0b110)
     assert repr(m) == "Gf2Matrix(2x3:101;011)"
     assert repr(Gf2Matrix((), 4)) == "Gf2Matrix(0x4:)"
     with pytest.raises(ValueError, match="entries must be 0 or 1"):
@@ -70,24 +65,26 @@ def test_rows_are_bitmasks():
         Gf2Matrix.from_rows([])
 
 
-def test_entry_checks_both_indices():
-    m = Gf2Matrix.from_rows([[1, 0, 1], [0, 1, 1]])
-    assert m.entry(1, 3) == 1 and m.entry(2, 1) == 0
-    for i, j in ((0, 2), (-1, 2), (3, 1), (1, 0), (1, 4)):
-        with pytest.raises(IndexError, match="out of range"):
-            m.entry(i, j)
-
-
 @given(gf2_matrices())
 def test_columns_round_trip(m):
     assert Gf2Matrix.from_columns(m.columns(), m.nrows) == m
-    assert m.columns() == tuple(m.column_bits(j) for j in range(1, m.ncols + 1))
+    entries = m.entries()
+    assert m.columns() == tuple(
+        sum(row[j] << i for i, row in enumerate(entries)) for j in range(m.ncols)
+    )
+
+
+def test_constructors_reject_negative_dimensions():
+    with pytest.raises(ValueError, match="ncols must be non-negative"):
+        Gf2Matrix((), -1)
+    with pytest.raises(ValueError, match="nrows must be non-negative"):
+        Gf2Matrix.from_columns([], -1)
 
 
 def test_rank_examples():
-    assert Gf2Matrix.from_rows(FANO_ROWS).rank() == 3
-    assert Gf2Matrix([0, 0], 5).rank() == 0
-    assert Gf2Matrix.identity(5).rank() == 5
+    assert rank_of_labels(Gf2Matrix.from_rows(FANO_ROWS).rows) == 3
+    assert rank_of_labels(Gf2Matrix([0, 0], 5).rows) == 0
+    assert rank_of_labels(Gf2Matrix.identity(5).rows) == 5
 
 
 def test_rref_prefers_leftmost_pivots():
@@ -102,9 +99,9 @@ def test_rref_is_idempotent_with_unit_pivot_columns(m):
     reduced, pivots = m.rref()
     assert reduced.rref() == (reduced, pivots)
     assert span_labels(reduced.rows) == span_labels(m.rows)
-    assert m.rank() == len(pivots) and list(pivots) == sorted(pivots)
+    assert rank_of_labels(m.rows) == len(pivots) and list(pivots) == sorted(pivots)
     for r, p in enumerate(pivots):
-        assert reduced.column_bits(p) == 1 << r
+        assert reduced.columns()[p - 1] == 1 << r
         # leftmost: the pivot is the row's first nonzero entry
         assert reduced.rows[r] & ((1 << (p - 1)) - 1) == 0
     assert not any(reduced.rows[len(pivots):])
@@ -112,108 +109,61 @@ def test_rref_is_idempotent_with_unit_pivot_columns(m):
 
 def test_nullspace_is_orthogonal_complement():
     m = Gf2Matrix.from_rows(FANO_ROWS)
-    ns = m.nullspace_basis()
+    ns = nullspace_of_reduced(m.rref()[0])
     assert ns.nrows == 4 and ns.ncols == 7
-    for i in range(1, ns.nrows + 1):
-        for j in range(1, m.nrows + 1):
-            assert (ns.row(i) & m.row(j)).bit_count() & 1 == 0
+    for v in ns.rows:
+        for r in m.rows:
+            assert (v & r).bit_count() & 1 == 0
     # spans the same space as the known dual representation
-    dual = Gf2Matrix.from_rows(FANO_DUAL_ROWS)
-    assert set(ns.row_space()) == set(dual.row_space())
+    assert span_labels(ns.rows) == span_labels(Gf2Matrix.from_rows(FANO_DUAL_ROWS).rows)
 
 
 @given(gf2_matrices())
 def test_nullspace_basis_is_orthogonal_of_full_size(m):
-    ns = m.nullspace_basis()
+    ns = nullspace_of_reduced(m.rref()[0])
     assert ns.ncols == m.ncols
-    assert ns.nrows == ns.rank() == m.ncols - m.rank()
-    for v in ns.rows:
-        for r in m.rows:
-            assert (v & r).bit_count() & 1 == 0
-    assert ns == nullspace_of_reduced(m.rref()[0])
+    assert ns.nrows == rank_of_labels(ns.rows) == m.ncols - rank_of_labels(m.rows)
+    # its span is every vector orthogonal to all the rows
+    orthogonal = {
+        v
+        for v in range(1 << m.ncols)
+        if not any((v & r).bit_count() & 1 for r in m.rows)
+    }
+    assert span_labels(ns.rows) == orthogonal
 
 
 def test_nullspace_trivial_cases():
-    assert Gf2Matrix.identity(5).nullspace_basis().nrows == 0
-    ns = Gf2Matrix.from_rows([[1, 1]]).nullspace_basis()
+    assert nullspace_of_reduced(Gf2Matrix.identity(5)).nrows == 0
+    ns = nullspace_of_reduced(Gf2Matrix.from_rows([[1, 1]]).rref()[0])
     assert ns.entries() == [[1, 1]]
 
 
 def test_row_space():
-    single = Gf2Matrix.from_rows([[1, 0, 1]])
-    assert set(single.row_space()) == {0b000, 0b101}
-    assert len(Gf2Matrix.from_rows(FANO_ROWS).row_space()) == 8
-    eye = Gf2Matrix.identity(2)
-    assert set(eye.row_space()) == {0b00, 0b01, 0b10, 0b11}
+    assert span_labels(Gf2Matrix.from_rows([[1, 0, 1]]).rows) == {0b000, 0b101}
+    assert len(span_labels(Gf2Matrix.from_rows(FANO_ROWS).rows)) == 8
+    assert span_labels(Gf2Matrix.identity(2).rows) == {0b00, 0b01, 0b10, 0b11}
 
 
 @given(gf2_matrices())
 def test_row_space_is_the_span_of_the_rows(m):
-    space = m.row_space()
-    assert space[0] == 0
-    assert len(space) == 1 << m.rank()
-    assert set(space) == span_labels(m.rows)
+    # an echelon basis: distinct leading bits in decreasing order, same span
+    basis = echelon_basis(m.rows)
+    leading = [b.bit_length() for b in basis]
+    assert leading == sorted(set(leading), reverse=True)
+    assert span_labels(basis) == span_labels(m.rows)
+    assert len(span_labels(m.rows)) == 1 << len(basis)
 
 
 def test_row_space_closed_under_xor():
     rng = random.Random(1337)
     for _ in range(20):
         m = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 6))
-        space = set(m.row_space())
+        space = span_labels(m.rows)
         assert 0 in space
         assert all(0 <= v < 1 << m.ncols for v in space)
         for a in space:
             for b in space:
                 assert a ^ b in space
-
-
-def test_pivot_block_regression():
-    """All 40 entries of the worked 5x8 pivot, checked bit for bit."""
-    m = Gf2Matrix.from_rows(STANDARD_BLOCK_ROWS)
-    assert m.pivot(3, 2) == Gf2Matrix.from_rows(PIVOTED_BLOCK_ROWS)
-
-
-def test_pivot_keeps_pivot_column_except_formula_cells():
-    m = Gf2Matrix.from_rows(STANDARD_BLOCK_ROWS)
-    p = m.pivot(3, 2)
-    # column beta and row alpha are copied verbatim
-    assert p.column_bits(2) == m.column_bits(2)
-    assert p.row(3) == m.row(3)
-
-
-def test_pivot_identity_is_fixed():
-    eye = Gf2Matrix.identity(4)
-    for i in range(1, 5):
-        assert eye.pivot(i, i) == eye
-
-
-def test_pivot_all_ones_two_by_two():
-    # only the (2,2) cell satisfies gamma != alpha and delta != beta,
-    # so it flips to 1 + 1*1 = 0 and everything else is copied
-    m = Gf2Matrix.from_rows([[1, 1], [1, 1]])
-    assert m.pivot(1, 1).entries() == [[1, 1], [1, 0]]
-
-
-def test_pivot_involution():
-    rng = random.Random(99)
-    for _ in range(50):
-        m = _random_matrix(rng, rng.randint(2, 5), rng.randint(2, 7))
-        ones = [
-            (i, j)
-            for i in range(1, m.nrows + 1)
-            for j in range(1, m.ncols + 1)
-            if m.entry(i, j)
-        ]
-        if not ones:
-            continue
-        i, j = rng.choice(ones)
-        assert m.pivot(i, j).pivot(i, j) == m
-
-
-def test_pivot_on_zero_raises():
-    m = Gf2Matrix.from_rows([[1, 0], [0, 1]])
-    with pytest.raises(PivotOnZero):
-        m.pivot(1, 2)
 
 
 def test_solve_in_basis_identity():
@@ -222,9 +172,7 @@ def test_solve_in_basis_identity():
 
 def test_solve_in_basis_fano_column():
     fano = Gf2Matrix.from_rows(FANO_ROWS)
-    basis = Gf2Matrix.from_columns(
-        [fano.column_bits(j) for j in (1, 2, 3)], 3
-    )
+    basis = Gf2Matrix.from_columns(fano.columns()[:3], 3)
     target = 0b111  # column 7
     assert solve_in_basis(basis, target) == 0b111
 
@@ -301,8 +249,9 @@ def test_rank_plus_nullity_is_ncols():
     rng = random.Random(4)
     for _ in range(30):
         m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 8))
-        assert m.rank() + m.nullspace_basis().rank() == m.ncols
-        assert m.nullspace_basis().nrows == m.ncols - m.rank()
+        ns = nullspace_of_reduced(m.rref()[0])
+        assert rank_of_labels(m.rows) + rank_of_labels(ns.rows) == m.ncols
+        assert ns.nrows == m.ncols - rank_of_labels(m.rows)
 
 
 def test_span_and_rank_of_labels():

@@ -7,11 +7,11 @@ from collections import Counter
 import pytest
 
 import matroidcat.catalogue as catalogue
-from conftest import orbit_count
+from conftest import gl_column_tuples, orbit_count
 from matroidcat import enumeration
 from matroidcat.catalogue import _pipeline, run_counts
 from matroidcat.enumeration import generate
-from matroidcat.gf2 import gl_column_tuples, gl_group_order, transform_bits
+from matroidcat.gf2 import gl_group_order, transform_bits
 from matroidcat.orbits import class_counts, cycle_index, orbit_counts
 
 

@@ -257,8 +257,8 @@ def test_grid_validation():
 def test_polynomial_accessors():
     t = TuttePolynomial(FANO_GRID)
     assert t.max_x == 3 and t.max_y == 4
-    assert t.coefficient(1, 1) == 7
-    assert t.coefficient(0, 4) == 1
+    assert t.grid[1][1] == 7
+    assert t.grid[0][4] == 1
     assert t.total() == 28
 
 
@@ -268,7 +268,7 @@ def test_loops_and_coloops_mix():
     t = tutte_by_activities(m)
     assert t.evaluate(2, 3) == 2 * 9
     assert t.grid == tutte_by_deletion_contraction(m).grid
-    assert t.coefficient(1, 2) == 1 and t.total() == 1
+    assert t.grid[1][2] == 1 and t.total() == 1
 
 
 def tutte_by_definition(m):
