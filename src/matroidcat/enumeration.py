@@ -36,7 +36,9 @@ restriction's reach lies below 2^t, and there the subspace argument above
 applies), and in the fill's order these candidates are exactly the rest of
 the subtree below that prefix.  So the fill resumes with the next value at
 the reach and skips only non-canonical candidates: the output is still
-that of the unpruned scan, in the same order.
+that of the unpruned scan, in the same order.  The search has just made
+that comparison, so it returns the reach with the witness's columns, and
+generate hands the pair back to the fill through a one-slot list.
 
 Any relabelling that rejects a prefix serves, not only the one a fresh
 search would return.  So each tested label (the subspace labels 2^t and the
@@ -45,7 +47,8 @@ on the new prefix.  Consecutive prefixes often differ only near their end,
 so one relabelling often rejects a whole run of them, and then neither the
 search nor the complete candidate's test runs.  A stored witness that
 the walk finds larger on the new prefix is a proven rejection of it, with
-its own reach, so this too skips only non-canonical candidates, in the
+its own reach, which the walk reads as it goes (the one place the fill
+walks a witness), so this too skips only non-canonical candidates, in the
 fill's order.
 
 The canonicity test searches the tie tree of partial matrices depth first,
@@ -91,6 +94,11 @@ class LabelOutOfRange(EnumerationError):
     """Label does not name a vector of GF(2)^k."""
 
 
+# what the canonicity search returns for a rejection: the leading columns of
+# its witness and the reach of the comparison that proves it
+_Witness = tuple[tuple[int, ...], int]
+
+
 def label_vector_of(values: Sequence[int]) -> tuple[int, ...]:
     """Sorted labels of the multiset whose multiplicities are values: each
     label x repeated values[x] times."""
@@ -126,11 +134,10 @@ def _complete_to_basis(cols: Sequence[int], k: int) -> list[int]:
     return list(cols) + [1 << j for j in range(k) if j not in leading]
 
 
-def _lex_larger_witness_columns(
-    values: Sequence[int], k: int
-) -> tuple[int, ...] | None:
-    """Leading columns of an invertible matrix whose relabelling of values is
-    lexicographically larger, or None when values is orbit-maximal.
+def _lex_larger_witness_columns(values: Sequence[int], k: int) -> _Witness | None:
+    """(columns, reach): the leading columns of an invertible matrix whose
+    relabelling of values is lexicographically larger, and the largest label
+    the comparison that proves it read; None when values is orbit-maximal.
 
     The matrix is built one unit-vector image at a time.  Choosing the first
     t images fixes the relabelled function on labels below 2^t, so each new
@@ -162,6 +169,13 @@ def _lex_larger_witness_columns(
     labels h with values[h] >= values[2^t], since the block of any other h
     is smaller at its first label, values[h ^ 0] against values[2^t].
 
+    A witness is returned where its comparison is decided: h at level t
+    is larger at the block position m, after ties on every earlier label.
+    That comparison read values at x and at its image for every x up to
+    2^t + m, and the largest such label is the reach (_witness_reach walks
+    the columns again to the same label): every function that agrees with
+    values up to it is rejected by every completion of the columns.
+
     One list holds the partial matrix: images[x] is the image of label x,
     for the labels below 2^t once t images are chosen.  So the images
     chosen are images[2^i], the span they generate is images[:2^t], and
@@ -189,8 +203,9 @@ def _lex_larger_witness_columns(
             labels = heads[t] = [h for h in range(1, size) if values[h] >= least]
         return labels
 
-    def search(t: int, labels: Iterable[int]) -> tuple[int, ...] | None:
-        # a witness; () once a full tie (an automorphism) is found; or None
+    def search(t: int, labels: Iterable[int]) -> _Witness | tuple[()] | None:
+        # a witness and its reach; () once a full tie (an automorphism) is
+        # found; or None
         base = 1 << t
         for h in labels:
             if in_span[h]:
@@ -205,7 +220,11 @@ def _lex_larger_witness_columns(
             if verdict < 0:
                 continue
             if verdict > 0:
-                return tuple(images[1 << i] for i in range(t)) + (h,)
+                # the labels the deciding comparison read: every x and
+                # image below base, then base + m and h ^ images[j], j <= m
+                # (map, not a generator, so that h stays a fast local)
+                reach = max(base + m, *images[:base], *map(h.__xor__, images[: m + 1]))
+                return tuple(images[1 << i] for i in range(t)) + (h,), reach
             for m in range(base):
                 images[base + m] = h ^ images[m]
             if t + 1 == k:  # an automorphism: merge its orbits, then jump
@@ -232,7 +251,7 @@ def _lex_larger_witness_columns(
         # one iterator, resumed after each automorphism; the orbits are read
         # lazily, as they grow while the siblings are searched
         siblings = (h for h in level(t) if h > base and orbit[h] == h)
-        hit: tuple[int, ...] | None = ()
+        hit: _Witness | tuple[()] | None = ()
         while hit == ():
             # clear the span that the first path, or the last automorphism,
             # added below this level; every image written at this level or
@@ -251,8 +270,8 @@ def lex_larger_witness(labels: Iterable[int], k: int) -> tuple[int, ...] | None:
     label's vector), is lexicographically larger than f.  None when no such
     matrix exists.
     """
-    cols = _lex_larger_witness_columns(_multiplicities(labels, k), k)
-    return None if cols is None else tuple(_complete_to_basis(cols, k))
+    hit = _lex_larger_witness_columns(_multiplicities(labels, k), k)
+    return None if hit is None else tuple(_complete_to_basis(hit[0], k))
 
 
 def is_canonical(labels: Iterable[int], k: int) -> bool:
@@ -266,8 +285,8 @@ def canonical_form(labels: Iterable[int], k: int) -> tuple[int, ...]:
     relabelled through the witness of each rejection, completed to a basis,
     until the canonicity test finds none."""
     values = _multiplicities(labels, k)
-    while (cols := _lex_larger_witness_columns(values, k)) is not None:
-        g = _complete_to_basis(cols, k)
+    while (hit := _lex_larger_witness_columns(values, k)) is not None:
+        g = _complete_to_basis(hit[0], k)
         values = [values[transform_bits(g, x)] for x in range(1 << k)]
     return label_vector_of(values)
 
@@ -284,7 +303,8 @@ _restriction_witness = _lex_larger_witness_columns
 def _witness_reach(values: Sequence[int], cols: Sequence[int]) -> int | None:
     """The largest label on which the rejection of values by the witness
     with leading columns cols depends, or None when those columns prove no
-    rejection of values.
+    rejection of values.  The fill calls it only to retry a stored witness
+    on a new prefix; the search returns the reach of a fresh witness.
 
     The columns c_1, ..., c_s fix the relabelling g on the labels below 2^s.
     When the relabelled function is larger at the first label x0 where the
@@ -317,34 +337,36 @@ def _orderly_candidates(
     k: int,
     n: int,
     top: int,
-    witness: list[tuple[int, ...] | None] | None = None,
+    witness: list[_Witness | None] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Multiplicity tuples meeting the necessary conditions with no value
     above top, largest first, less the subtrees whose restriction to a
     coordinate subspace is not canonical.
 
     A restriction rejected at 2^t is not only pruned: every prefix that
-    agrees with it up to the reach of its witness (see _witness_reach), a
-    label below 2^t, has a restriction rejected by the same relabelling, so
-    the fill resumes with the next value at the reach.
+    agrees with it up to the reach of its witness, a label below 2^t that
+    the search returns with the columns, has a restriction rejected by the
+    same relabelling, so the fill resumes with the next value at the reach.
 
     When witness is given, the consumer reports the test of each yielded
-    tuple in witness[0] before drawing the next one: the columns of a
-    witness, or None.  The fill backjumps on a rejected tuple too.  Every
-    tuple that agrees with it on the labels up to its reach is rejected by
-    the same relabelling, and in the fill's order these tuples are exactly
-    the rest of the subtree below the prefix that ends at the reach, so the
-    fill resumes with the next value at the reach.  The fill is one loop
-    over an explicit stack, so a jump unwinds any number of labels at once.
+    tuple in witness[0] before drawing the next one: the (columns, reach)
+    pair of _lex_larger_witness_columns, or None.  The fill backjumps on a
+    rejected tuple too.  Every tuple that agrees with it on the labels up
+    to its reach is rejected by the same relabelling, and in the fill's
+    order these tuples are exactly the rest of the subtree below the
+    prefix that ends at the reach, so the fill resumes with the next value
+    at the reach.  The fill is one loop over an explicit stack, so a jump
+    unwinds any number of labels at once.
 
     Each tested label, 2^t for 2 <= t < k and the full tuple, keeps the
     columns of the last witness found there.  Before it searches, or
-    yields, the fill walks them on the new prefix (_witness_reach): a
-    relabelling that rejects it is as good a witness as a fresh one, so the
-    fill jumps on its reach, and only otherwise runs the search or yields
-    the tuple.  Runs of tuples that differ only near their end are often
-    rejected by one relabelling, and the stored witness often reaches less
-    far than a fresh one, so its jump skips more.
+    yields, the fill walks them on the new prefix (_witness_reach, the
+    only walk, as a fresh witness comes with its reach): a relabelling that
+    rejects it is as good a witness as a fresh one, so the fill jumps on
+    its reach, and only otherwise runs the search or yields the tuple.
+    Runs of tuples that differ only near their end are often rejected by
+    one relabelling, and the stored witness often reaches less far than a
+    fresh one, so its jump skips more.
 
     The fill keeps only the values and the sum left at each label.  The
     cap on a value, the value of the last unit label before it, and the
@@ -379,17 +401,15 @@ def _orderly_candidates(
         else:
             back = pos if pos < size else pos - 1
             if tested[pos]:
-                cols = kept[pos]
-                reach = None if cols is None else _witness_reach(values, cols)
+                reach = None if kept[pos] is None else _witness_reach(values, kept[pos])
                 if reach is None:
                     if pos == size:
                         yield tuple(values)
-                        cols = None if witness is None else witness[0]
+                        hit = None if witness is None else witness[0]
                     else:
-                        cols = _restriction_witness(values, j)
-                    if cols is not None:
-                        kept[pos] = cols
-                        reach = _witness_reach(values, cols)
+                        hit = _restriction_witness(values, j)
+                    if hit is not None:
+                        kept[pos], reach = hit
                 if reach is not None:
                     back = reach
             if back == pos:
@@ -410,7 +430,7 @@ def candidate_functions(
     k: int,
     n: int,
     matroid_class: str,
-    witness: list[tuple[int, ...] | None] | None = None,
+    witness: list[_Witness | None] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Candidate multiplicity tuples for the orderly scan, largest first.
 
@@ -418,9 +438,10 @@ def candidate_functions(
     candidates already satisfy the necessary canonicity conditions (units
     present and dominant), and every canonical tuple of the class is among
     them.  witness, when given, is the one-slot list through which the
-    consumer reports each candidate's witness, so that the scan backjumps
+    consumer reports each candidate's test: the (columns, reach) pair of
+    _lex_larger_witness_columns, or None.  The scan backjumps on the reach
     over the candidates the same relabelling rejects, and walks the last
-    witness on each later candidate before it yields it (see
+    witness's columns on each later candidate before it yields it (see
     _orderly_candidates).  A candidate that witness rejects is not yielded,
     so each yielded candidate still needs the consumer's one full test.
     """
@@ -436,12 +457,12 @@ def generate(
 ) -> Iterator[tuple[int, ...]]:
     """One sorted label tuple per isomorphism class, in increasing
     lexicographic order; each is the smallest label tuple of its class.  The
-    witness of each rejected candidate goes back to the fill, which
-    backjumps on it.
+    witness of each rejected candidate, with the reach the search read, goes
+    back to the fill, which backjumps on it.
     """
     if not 1 <= k <= n:
         raise InvalidShape(f"need 1 <= rank <= size, got rank {k}, size {n}")
-    witness: list[tuple[int, ...] | None] = [None]
+    witness: list[_Witness | None] = [None]
     for values in candidate_functions(k, n, matroid_class, witness):
         witness[0] = _lex_larger_witness_columns(values, k)
         if witness[0] is None:

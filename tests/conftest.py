@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
@@ -207,6 +208,104 @@ def orbit_count(k: int, n: int, simple: bool) -> int:
         orbits += 1
         seen.update(relabel(f) for relabel in relabellings(k))
     return orbits
+
+
+def camion_signing(rows: list[int], ncols: int) -> list[list[int]]:
+    """A {0, +-1} signing of the binary matrix with the given row bitmasks,
+    by Camion's algorithm (Camion 1963; Truemper, Matroid Decomposition).
+
+    The edges of the bipartite row/column graph are the 1 entries.  Those
+    of a BFS spanning forest get +1.  Every other edge is then signed, the
+    one whose ends are closest among the edges signed so far first, so that
+    it and a shortest path between its ends sum to 0 mod 4.  Taken in that
+    order, the cycle each edge closes has no chord in the whole graph, and
+    a totally unimodular signing scaled to +1 on the forest sums to 0 mod 4
+    on every chordless cycle.  So when the matrix has a totally unimodular
+    signing, this is one.
+    """
+    k = len(rows)
+    # rows are the vertices 0..k-1 and columns k..k+ncols-1
+    edges = {(i, k + j) for i, r in enumerate(rows) for j in range(ncols) if r >> j & 1}
+    graph: dict[int, list[int]] = {x: [] for x in range(k + ncols)}
+    for i, c in sorted(edges):
+        graph[i].append(c)
+        graph[c].append(i)
+    sign: dict[tuple[int, int], int] = {}
+    signed: dict[int, list[int]] = {x: [] for x in graph}
+
+    def add(u: int, v: int, s: int) -> None:
+        sign[min(u, v), max(u, v)] = s
+        signed[u].append(v)
+        signed[v].append(u)
+
+    seen: set[int] = set()
+    for root in graph:
+        if root in seen:
+            continue
+        seen.add(root)
+        queue = collections.deque([root])
+        while queue:
+            x = queue.popleft()
+            for y in graph[x]:
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+                    add(x, y, 1)
+
+    def shortest_path(u: int, v: int) -> list[int]:
+        # the vertices of a shortest u-v path among the signed edges
+        before = {u: u}
+        queue = collections.deque([u])
+        while v not in before:
+            x = queue.popleft()
+            for y in signed[x]:
+                if y not in before:
+                    before[y] = x
+                    queue.append(y)
+        path = [v]
+        while path[-1] != u:
+            path.append(before[path[-1]])
+        return path
+
+    while len(sign) < len(edges):
+        paths = {e: shortest_path(*e) for e in sorted(edges - sign.keys())}
+        (u, v), path = min(paths.items(), key=lambda item: len(item[1]))
+        total = sum(sign[min(x, y), max(x, y)] for x, y in zip(path, path[1:]))
+        add(u, v, 1 if (total + 1) % 4 == 0 else -1)
+    return [[sign.get((i, k + j), 0) for j in range(ncols)] for i in range(k)]
+
+
+def determinant(matrix: list[list[int]]) -> int:
+    """Integer determinant by Laplace expansion along the first row."""
+    if not matrix:
+        return 1
+    return sum(
+        (-1) ** j * x * determinant([row[:j] + row[j + 1 :] for row in matrix[1:]])
+        for j, x in enumerate(matrix[0])
+        if x
+    )
+
+
+def is_totally_unimodular(matrix: list[list[int]]) -> bool:
+    """Every square submatrix has determinant 0, 1 or -1."""
+    nrows, ncols = len(matrix), len(matrix[0]) if matrix else 0
+    return all(
+        abs(determinant([[matrix[i][j] for j in cols] for i in rows])) <= 1
+        for size in range(1, min(nrows, ncols) + 1)
+        for rows in itertools.combinations(range(nrows), size)
+        for cols in itertools.combinations(range(ncols), size)
+    )
+
+
+def is_regular_by_camion(m: BinaryMatroid) -> bool:
+    """Regularity of m = M[I | A] decided by Camion's signing of A, the
+    reduced rows restricted to the non-pivot columns: m is regular exactly
+    when that signing is totally unimodular."""
+    rows = m.reduced.rows
+    pivots = {r & -r for r in rows}
+    free = [1 << j for j in range(m.size) if 1 << j not in pivots]
+    a_rows = [sum(1 << i for i, bit in enumerate(free) if r & bit) for r in rows]
+    return is_totally_unimodular(camion_signing(a_rows, len(free)))
 
 
 @pytest.fixture

@@ -13,10 +13,14 @@ from contextlib import contextmanager, redirect_stdout
 from conftest import (
     CONTRACTED_BLOCK_ROWS,
     CONTRACTED_COLUMN_ORDER,
+    FANO_DUAL_ROWS,
     FANO_ROWS,
     NONREGULAR_13_ROWS,
     POLYGON_CIRCUITS,
     POLYGON_ROWS,
+    R10_LABELS,
+    cycle_matroid_of_complete_graph,
+    is_regular_by_camion,
     matroid,
     orbit_count,
 )
@@ -185,6 +189,34 @@ def test_criterion_8_scale_report():
         f"with Tutte polynomials in {elapsed:.2f}s (target 600s)"
     )
 
+
+def test_criterion_9_regularity_oracle():
+    """is_regular agrees with Camion's signing of the reduced matrix on every
+    connected simple class with n <= 10 and k <= 7."""
+    with criterion("criterion 9 (Camion oracle, connected simple, n <= 10)", 60.0):
+        k33 = [sum(1 << v for v in (a, b) if v < 5) for a in range(3) for b in range(3, 6)]
+        anchors = {
+            "F7": (matroid(FANO_ROWS), False),
+            "F7*": (matroid(FANO_DUAL_ROWS), False),
+            "M(K5)": (cycle_matroid_of_complete_graph(5), True),
+            "M*(K3,3)": (BinaryMatroid(Gf2Matrix.from_columns(k33, 5)).dual(), True),
+            "R10": (matroid_of_labels(R10_LABELS, 5), True),
+        }
+        for name, (m, regular) in anchors.items():
+            assert is_regular_by_camion(m) == regular, name
+            assert is_regular(m)[0] == regular, name
+        verdicts = []
+        for n in range(1, 11):
+            for k in range(1, min(n, 7) + 1):
+                for labels in generate(k, n, "simple"):
+                    m = matroid_of_labels(labels, k)
+                    if m.is_connected():
+                        regular = is_regular(m)[0]
+                        assert is_regular_by_camion(m) == regular, (k, labels)
+                        verdicts.append(regular)
+        # measured: 238 classes, 159 of them regular
+        assert len(verdicts) == 238 and sum(verdicts) == 159
+    print()
 
 
 def test_counts_over_the_whole_guard():

@@ -51,9 +51,9 @@ def test_canonical_exactly_when_orbit_maximum(case):
 def test_witness_rejects_every_function_that_agrees_up_to_its_reach(case, data):
     # the lemma the scan's backjumping rests on
     _, k, f = case
-    cols = _lex_larger_witness_columns(f, k)
-    assume(cols is not None)
-    reach = _witness_reach(f, cols)
+    hit = _lex_larger_witness_columns(f, k)
+    assume(hit is not None)
+    cols, reach = hit
     size = 1 << k
     tail = data.draw(
         st.lists(st.integers(0, 3), min_size=size - 1 - reach, max_size=size - 1 - reach)
@@ -88,3 +88,18 @@ def test_witness_reach_exactly_when_the_relabelling_is_larger(k, data):
         )
         other = values[: reach + 1] + tuple(tail)
         assert tuple(other[transform_bits(g, x)] for x in range(size)) > other
+
+
+@settings(max_examples=400)
+@given(st.integers(1, 5), st.data())
+def test_search_returns_the_reach_of_its_witness(k, data):
+    # the reach the search returns is the one _witness_reach walks: for a
+    # full test, and for a restriction to GF(2)^t read off a longer list
+    size = 1 << k
+    values = tuple(data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size)))
+    for t in {k, data.draw(st.integers(1, k))}:
+        hit = _lex_larger_witness_columns(values, t)
+        if hit is not None:
+            cols, reach = hit
+            assert reach == _witness_reach(values, cols)
+            assert reach < 1 << t
