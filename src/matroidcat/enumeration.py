@@ -38,7 +38,7 @@ the subtree below that prefix.  So the fill resumes with the next value at
 the reach and skips only non-canonical candidates: the output is still
 that of the unpruned scan, in the same order.  The search has just made
 that comparison, so it returns the reach with the witness's columns, and
-generate hands the pair back to the fill through a one-slot list.
+generate reports the pair to the fill (see candidate_functions).
 
 Any relabelling that rejects a prefix serves, not only the one a fresh
 search would return.  So each tested label (the subspace labels 2^t and the
@@ -111,13 +111,16 @@ def _multiplicities(labels: Iterable[int], k: int) -> list[int]:
     or unless the labels span GF(2)^k."""
     if k < 0:
         raise InvalidShape(f"rank {k} is negative")
+    # validated before the 2^k-entry list is allocated
+    labels = list(labels)
+    for x in labels:
+        if not 0 <= x < 1 << k:
+            raise LabelOutOfRange(f"label {x} not in 0..{(1 << k) - 1}")
+    if rank_of_labels(labels) != k:
+        raise InvalidShape(f"labels do not span GF(2)^{k}")
     values = [0] * (1 << k)
     for x in labels:
-        if not 0 <= x < len(values):
-            raise LabelOutOfRange(f"label {x} not in 0..{len(values) - 1}")
         values[x] += 1
-    if rank_of_labels([x for x, count in enumerate(values) if count]) != k:
-        raise InvalidShape(f"labels do not span GF(2)^{k}")
     return values
 
 
@@ -333,30 +336,31 @@ def _witness_reach(values: Sequence[int], cols: Sequence[int]) -> int | None:
     return None
 
 
-def _orderly_candidates(
-    k: int,
-    n: int,
-    top: int,
-    witness: list[_Witness | None] | None = None,
+def candidate_functions(
+    k: int, n: int, matroid_class: str, witness: list[_Witness | None]
 ) -> Iterator[tuple[int, ...]]:
-    """Multiplicity tuples meeting the necessary conditions with no value
-    above top, largest first, less the subtrees whose restriction to a
-    coordinate subspace is not canonical.
+    """Candidate multiplicity tuples for the orderly scan, largest first.
 
-    A restriction rejected at 2^t is not only pruned: every prefix that
-    agrees with it up to the reach of its witness, a label below 2^t that
-    the search returns with the columns, has a restriction rejected by the
-    same relabelling, so the fill resumes with the next value at the reach.
+    matroid_class is "loopless" or "simple" (every multiplicity 0 or 1).
+    The candidates satisfy the necessary canonicity conditions (units
+    present and dominant), and every canonical tuple of the class is among
+    them.  Each candidate still needs the consumer's one full test.
 
-    When witness is given, the consumer reports the test of each yielded
-    tuple in witness[0] before drawing the next one: the (columns, reach)
-    pair of _lex_larger_witness_columns, or None.  The fill backjumps on a
-    rejected tuple too.  Every tuple that agrees with it on the labels up
-    to its reach is rejected by the same relabelling, and in the fill's
-    order these tuples are exactly the rest of the subtree below the
-    prefix that ends at the reach, so the fill resumes with the next value
-    at the reach.  The fill is one loop over an explicit stack, so a jump
-    unwinds any number of labels at once.
+    witness is the one-slot list through which the consumer reports that
+    test before it draws the next candidate: witness[0] is the (columns,
+    reach) pair of _lex_larger_witness_columns for a rejected candidate,
+    None for a kept one.  A consumer that never writes it, [None], reports
+    every candidate kept, and the fill then jumps only over rejected
+    restrictions.
+
+    The fill skips the subtree below a prefix whose restriction to a
+    coordinate subspace, the prefix below 2^t, is not canonical.  Every
+    tuple that agrees with a rejected one, a restriction or a reported
+    candidate, on the labels up to the reach of its witness is rejected by
+    the same relabelling, and in the fill's order these tuples are exactly
+    the rest of the subtree below the prefix that ends at the reach, so the
+    fill resumes with the next value at the reach.  The fill is one loop
+    over an explicit stack, so a jump unwinds any number of labels at once.
 
     Each tested label, 2^t for 2 <= t < k and the full tuple, keeps the
     columns of the last witness found there.  Before it searches, or
@@ -374,6 +378,9 @@ def _orderly_candidates(
     the search at 2^t reads the values in place, as it reads only the labels
     below 2^t.
     """
+    if matroid_class not in ("loopless", "simple"):
+        raise ValueError(f"unknown class {matroid_class!r}")
+    top = n if matroid_class == "loopless" else 1
     size = 1 << k
     values = [0] * size
     least = [0] * size  # the least value at each label: 1 at the units
@@ -405,7 +412,7 @@ def _orderly_candidates(
                 if reach is None:
                     if pos == size:
                         yield tuple(values)
-                        hit = None if witness is None else witness[0]
+                        hit = witness[0]
                     else:
                         hit = _restriction_witness(values, j)
                     if hit is not None:
@@ -426,39 +433,13 @@ def _orderly_candidates(
         pos += 1
 
 
-def candidate_functions(
-    k: int,
-    n: int,
-    matroid_class: str,
-    witness: list[_Witness | None] | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Candidate multiplicity tuples for the orderly scan, largest first.
-
-    matroid_class is "loopless" or "simple" (every multiplicity 0 or 1); the
-    candidates already satisfy the necessary canonicity conditions (units
-    present and dominant), and every canonical tuple of the class is among
-    them.  witness, when given, is the one-slot list through which the
-    consumer reports each candidate's test: the (columns, reach) pair of
-    _lex_larger_witness_columns, or None.  The scan backjumps on the reach
-    over the candidates the same relabelling rejects, and walks the last
-    witness's columns on each later candidate before it yields it (see
-    _orderly_candidates).  A candidate that witness rejects is not yielded,
-    so each yielded candidate still needs the consumer's one full test.
-    """
-    if matroid_class == "loopless":
-        return _orderly_candidates(k, n, n, witness)
-    if matroid_class == "simple":
-        return _orderly_candidates(k, n, 1, witness)
-    raise ValueError(f"unknown class {matroid_class!r}")
-
-
 def generate(
     k: int, n: int, matroid_class: str = "loopless"
 ) -> Iterator[tuple[int, ...]]:
     """One sorted label tuple per isomorphism class, in increasing
     lexicographic order; each is the smallest label tuple of its class.  The
-    witness of each rejected candidate, with the reach the search read, goes
-    back to the fill, which backjumps on it.
+    test of each candidate goes back to the fill through candidate_functions'
+    witness slot, so the fill backjumps on every rejection.
     """
     if not 1 <= k <= n:
         raise InvalidShape(f"need 1 <= rank <= size, got rank {k}, size {n}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .gf2 import (
     Gf2Matrix,
@@ -44,11 +44,23 @@ class CorankTooLarge(MatroidError):
 
 
 class CircuitSpaceTooLarge(MatroidError):
-    """Null space too large to enumerate (corank above the hard bound)."""
+    """Null space or row space too large to enumerate (corank or rank above
+    the hard bound)."""
 
 
-# circuits require walking 2^(n-k) null-space vectors; refuse beyond this
-_MAX_CIRCUIT_CORANK = 20
+# circuits walk the 2^(n-k) null-space vectors and cocircuits the 2^k
+# row-space vectors; both refuse a space of dimension beyond this
+_MAX_SPACE_DIMENSION = 20
+
+
+def _space_vectors(basis: Sequence[int], space: str) -> set[int]:
+    """Every vector spanned by the independent basis; CircuitSpaceTooLarge
+    when there are more than 2^_MAX_SPACE_DIMENSION of them."""
+    if len(basis) > _MAX_SPACE_DIMENSION:
+        raise CircuitSpaceTooLarge(
+            f"{space} has 2^{len(basis)} vectors; bound is 2^{_MAX_SPACE_DIMENSION}"
+        )
+    return span_labels(basis)
 
 
 def _minimal_supports(vectors: Iterable[int], max_weight: int) -> list[int]:
@@ -120,20 +132,15 @@ class BinaryMatroid:
     def cocircuits(self) -> frozenset[frozenset[int]]:
         """Minimal nonzero supports of the row space."""
         masks = _minimal_supports(
-            span_labels(self.matrix.rows), self.size - self.rank + 1
+            _space_vectors(self.matrix.rows, "row space"), self.size - self.rank + 1
         )
         return frozenset(self._mask_to_subset(m) for m in masks)
 
     @cached_property
     def circuits(self) -> frozenset[frozenset[int]]:
         """Minimal nonzero supports of the null space."""
-        corank = self.size - self.rank
-        if corank > _MAX_CIRCUIT_CORANK:
-            raise CircuitSpaceTooLarge(
-                f"null space has 2^{corank} vectors; bound is 2^{_MAX_CIRCUIT_CORANK}"
-            )
-        null = nullspace_of_reduced(self.reduced)
-        masks = _minimal_supports(span_labels(null.rows), self.rank + 1)
+        null = nullspace_of_reduced(self.reduced).rows
+        masks = _minimal_supports(_space_vectors(null, "null space"), self.rank + 1)
         return frozenset(self._mask_to_subset(m) for m in masks)
 
     def hyperplanes(self) -> frozenset[frozenset[int]]:

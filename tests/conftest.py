@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, settings
 from hypothesis import strategies as st
 
+from matroidcat.catalogue import matroid_of_labels
 from matroidcat.enumeration import generate
 from matroidcat.gf2 import Gf2Matrix, rank_of_labels, transform_bits
 from matroidcat.matroid import BinaryMatroid
@@ -98,7 +99,7 @@ def reference_cases() -> list[BinaryMatroid]:
     """Every loopless class with rank <= 4 and size <= 8, the Fano, dual
     Fano, polygon and nonregular13 matroids, and the duals of all of these."""
     primal = [
-        BinaryMatroid(Gf2Matrix.from_columns(list(labels), k))
+        matroid_of_labels(labels, k)
         for k in range(1, 5)
         for n in range(k, 9)
         for labels in generate(k, n, "loopless")
@@ -118,7 +119,7 @@ def cycle_matroid_of_complete_graph(vertices: int) -> BinaryMatroid:
         sum(1 << v for v in edge if v < rank)
         for edge in itertools.combinations(range(vertices), 2)
     ]
-    return BinaryMatroid(Gf2Matrix.from_columns(cols, rank))
+    return matroid_of_labels(cols, rank)
 
 
 @st.composite
@@ -146,7 +147,7 @@ def binary_matroids(draw, max_k: int = 5, max_n: int = 10) -> BinaryMatroid:
         labels = [0] * (n - coloops)
     cols = labels + [1 << (body + i) for i in range(coloops)]
     order = draw(st.permutations(range(n)))
-    return BinaryMatroid(Gf2Matrix.from_columns([cols[j] for j in order], k))
+    return matroid_of_labels([cols[j] for j in order], k)
 
 
 def gl_column_tuples(k: int) -> Iterator[tuple[int, ...]]:

@@ -51,6 +51,14 @@ def test_negative_rank_is_an_invalid_shape():
             check([1], -1)
 
 
+def test_huge_rank_is_rejected_before_its_multiplicities_are_allocated():
+    # at k = 64 a list of 2^64 multiplicities cannot even be requested, so
+    # the labels are checked first: one label spans no GF(2)^64
+    for check in (canonical_form, is_canonical, lex_larger_witness):
+        with pytest.raises(InvalidShape, match="do not span"):
+            check([1], 64)
+
+
 def test_label_vector_validation():
     for bad in ((1, 4), (-1, 1, 2), (1, 2, 3, 7)):
         for check in (canonical_form, is_canonical, lex_larger_witness):
@@ -89,14 +97,14 @@ def test_witness_image_is_lex_larger():
     cells += [(4, n, "simple") for n in range(4, 9)]
     for k, n, cls in cells:
         rejected = 0
-        for values in candidate_functions(k, n, cls):
+        for values in candidate_functions(k, n, cls, [None]):
             w = lex_larger_witness(label_vector_of(values), k)
             if w is None:
                 continue
             rejected += 1
             assert len(w) == k and rank_of_labels(w) == k
             assert relabelled(values, w) > values
-        assert rejected == len(list(candidate_functions(k, n, cls))) - len(
+        assert rejected == len(list(candidate_functions(k, n, cls, [None]))) - len(
             list(generate(k, n, cls))
         )
 
@@ -193,16 +201,21 @@ def test_generate_simple_has_distinct_labels():
 
 
 def test_candidates_descend_lexicographically():
-    cands = list(candidate_functions(3, 4, "loopless"))
+    cands = list(candidate_functions(3, 4, "loopless", [None]))
     assert cands == sorted(cands, reverse=True)
-    simple = list(candidate_functions(3, 5, "simple"))
+    simple = list(candidate_functions(3, 5, "simple", [None]))
     assert simple == sorted(simple, reverse=True)
     for values in simple:
         assert max(values) <= 1
 
 
+def test_candidates_reject_an_unknown_class():
+    with pytest.raises(ValueError, match="unknown class"):
+        next(candidate_functions(3, 4, "connected-simple", [None]))
+
+
 def test_candidates_respect_necessary_conditions():
-    for values in candidate_functions(3, 5, "loopless"):
+    for values in candidate_functions(3, 5, "loopless", [None]):
         assert values[0] == 0
         assert sum(values) == 5
         for unit in (1, 2, 4):
@@ -333,7 +346,7 @@ def test_pruned_scan_keeps_every_canonical_tuple():
     visited = reference = 0
     for k, n, cls in REFERENCE_CELLS:
         cands, canonical = _reference_scan(k, n, cls)
-        pruned = list(candidate_functions(k, n, cls))
+        pruned = list(candidate_functions(k, n, cls, [None]))
         rest = iter(cands)
         assert all(values in rest for values in pruned), (k, n, cls)
         kept = [v for v in pruned if _lex_larger_witness_columns(v, k) is None]
@@ -380,7 +393,7 @@ def test_backjumping_scan_keeps_every_canonical_tuple(monkeypatch):
         canonical = _reference_scan(k, n, cls)[1]
         assert out == [label_vector_of(v) for v in canonical], (k, n, cls)
         # the fill without reports jumps only over rejected restrictions
-        candidates = list(candidate_functions(k, n, cls))
+        candidates = list(candidate_functions(k, n, cls, [None]))
         rest = iter(candidates)
         assert all(values in rest for values in tested), (k, n, cls)
         skipped += len(candidates) - len(tested)
@@ -439,7 +452,9 @@ def test_pruned_search_matches_unpruned_search():
     cells = [(6, n, "simple") for n in range(6, 10)]
     cells += [(6, n, "loopless") for n in range(6, 9)]
     inputs.update(
-        (values, k) for k, n, cls in cells for values in candidate_functions(k, n, cls)
+        (values, k)
+        for k, n, cls in cells
+        for values in candidate_functions(k, n, cls, [None])
     )
     canonical = 0
     for values, k in inputs:

@@ -19,16 +19,18 @@ from conftest import (
     orbit_maximum,
     reference_cases,
 )
+from matroidcat.catalogue import matroid_of_labels
 from matroidcat.enumeration import canonical_form, generate
 from matroidcat.gf2 import Gf2Matrix, nullspace_of_reduced, span_labels
-from matroidcat.matroid import BinaryMatroid, CorankTooLarge, DependentContractionSet
+from matroidcat.matroid import (
+    BinaryMatroid,
+    CircuitSpaceTooLarge,
+    CorankTooLarge,
+    DependentContractionSet,
+)
 
 
-def from_labels(labels, k):
-    return BinaryMatroid(Gf2Matrix.from_columns(list(labels), k))
-
-
-PARALLEL_PAIR = from_labels([1, 1], 1)  # matrix (1 1)
+PARALLEL_PAIR = matroid_of_labels([1, 1], 1)  # matrix (1 1)
 
 
 def test_rejects_rank_deficient_matrix():
@@ -131,15 +133,15 @@ def flats_by_corank_bruteforce(m):
 
 def test_flats_of_corank_are_all_the_flats(fano, polygon):
     cases = [
-        from_labels(labels, k)
+        matroid_of_labels(labels, k)
         for k in range(1, 5)
         for n in range(k, 8)
         for labels in generate(k, n, "loopless")
     ]
     # two loops, parallel classes {2, 3, 7} and {4, 5}, rank 3
-    cases.append(from_labels([0, 1, 1, 2, 2, 4, 1, 0], 3))
+    cases.append(matroid_of_labels([0, 1, 1, 2, 2, 4, 1, 0], 3))
     cases += [
-        from_labels(labels, 2).dual()
+        matroid_of_labels(labels, 2).dual()
         for n in range(2, 9)
         for labels in generate(2, n, "loopless")
     ]
@@ -160,7 +162,7 @@ def test_closure_by_reduction_matches_span_closure():
     for k in range(1, 5):
         for n in range(k, 9):
             for labels in generate(k, n, "simple"):
-                m = from_labels(labels, k)
+                m = matroid_of_labels(labels, k)
                 independent = {c: set() for c in range(1, k + 1)}
                 for size in range(n + 1):
                     for s in itertools.combinations(m.ground, size):
@@ -170,6 +172,15 @@ def test_closure_by_reduction_matches_span_closure():
                             independent[k - size].add(closure)
                 for c in range(1, k + 1):
                     assert m.flats_of_corank(c) == independent[c], (m, c)
+
+
+def test_circuit_spaces_beyond_the_bound_are_refused():
+    # circuits walk all 2^corank null-space vectors, cocircuits all 2^rank
+    # row-space vectors; one bound, 2^20, refuses both at dimension 21
+    with pytest.raises(CircuitSpaceTooLarge, match="null space"):
+        matroid_of_labels([1] * 22, 1).circuits
+    with pytest.raises(CircuitSpaceTooLarge, match="row space"):
+        BinaryMatroid(Gf2Matrix.identity(21)).cocircuits
 
 
 def test_flats_of_corank_bounds(fano):
@@ -193,13 +204,13 @@ def test_rank_and_closure_refuse_elements_outside_the_ground_set(fano):
 
 
 def test_closure_picks_up_loops():
-    m = from_labels([0, 1, 2], 2)
+    m = matroid_of_labels([0, 1, 2], 2)
     assert m.loops() == {1}
     assert m.closure(set()) == {1}
 
 
 def test_simplify_drops_loops_and_merges_parallel():
-    m = from_labels([0, 3, 3, 2], 2)
+    m = matroid_of_labels([0, 3, 3, 2], 2)
     simple, classes = m.simplify()
     assert simple.ground == (2, 4)
     assert simple.matrix.columns() == (3, 2)

@@ -1,4 +1,4 @@
-"""The README's documented library surface."""
+"""The README's documented library surface and its first command."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import matroidcat
+from matroidcat.catalogue import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -31,6 +32,17 @@ def test_library_snippet_prints_what_it_documents():
     # each print states its output in the comment beside it
     documented = re.findall(r"print\(.*?\)[ \t]+# (.*)", snippet)
     assert documented == out.getvalue().splitlines()
+
+
+def test_first_command_line_example_prints_what_it_documents(capsys):
+    # the first command of the Command line section, and the output lines
+    # commented right below it
+    section = README.read_text().split("\n## Command line\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    example = re.search(r"^matroidcat (.*)\n((?:# .*\n)+)", block, re.M)
+    documented = [line.removeprefix("# ") for line in example.group(2).splitlines()]
+    assert main(example.group(1).split()) == 0
+    assert capsys.readouterr().out.splitlines() == documented
 
 
 def test_every_exported_name_resolves():

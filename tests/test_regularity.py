@@ -13,16 +13,14 @@ from conftest import (
     matroid,
     reference_cases,
 )
-from matroidcat.gf2 import Gf2Matrix, echelon_basis
+from matroidcat.catalogue import matroid_of_labels
+from matroidcat.gf2 import echelon_basis
 from matroidcat.matroid import BinaryMatroid
 from matroidcat.regularity import FanoWitness, is_fano, is_fano_dual, is_regular
 
 
-def from_labels(labels, k):
-    return BinaryMatroid(Gf2Matrix.from_columns(list(labels), k))
-
-
-K4 = from_labels([1, 2, 3, 4, 5, 6], 3)  # cycle matroid of the complete graph on 4 vertices
+# cycle matroid of the complete graph on 4 vertices
+K4 = matroid_of_labels([1, 2, 3, 4, 5, 6], 3)
 
 
 def test_is_fano_on_both_representations():
@@ -31,17 +29,17 @@ def test_is_fano_on_both_representations():
 
 
 def test_is_fano_rejects_other_shapes():
-    assert not is_fano(from_labels([1, 2, 3, 4], 3))
+    assert not is_fano(matroid_of_labels([1, 2, 3, 4], 3))
     assert not is_fano(K4)
     # seven columns but with a repeat
-    assert not is_fano(from_labels([1, 2, 3, 4, 5, 6, 6], 3))
+    assert not is_fano(matroid_of_labels([1, 2, 3, 4, 5, 6, 6], 3))
     assert not is_fano(matroid(FANO_DUAL_ROWS))
 
 
 def test_is_fano_dual():
     assert is_fano_dual(matroid(FANO_DUAL_ROWS))
     assert not is_fano_dual(matroid(FANO_ROWS))
-    assert not is_fano_dual(from_labels([1, 2, 4, 8, 15, 15, 15], 4))
+    assert not is_fano_dual(matroid_of_labels([1, 2, 4, 8, 15, 15, 15], 4))
 
 
 def test_fano_recognizers_swap_under_duality():
@@ -72,8 +70,8 @@ def test_k4_is_regular():
 
 
 def test_low_rank_is_always_regular():
-    assert is_regular(from_labels([1, 1], 1)) == (True, None)
-    assert is_regular(from_labels([1, 2, 3, 3], 2))[0]
+    assert is_regular(matroid_of_labels([1, 1], 1)) == (True, None)
+    assert is_regular(matroid_of_labels([1, 2, 3, 3], 2))[0]
 
 
 def test_nonregular13(nonregular13):
@@ -108,8 +106,8 @@ def test_regularity_is_self_dual():
         matroid(FANO_ROWS),
         matroid(FANO_DUAL_ROWS),
         K4,
-        from_labels([1, 2, 3, 4, 5, 6, 7, 7], 3),
-        from_labels([1, 2, 4, 8, 3, 12], 4),
+        matroid_of_labels([1, 2, 3, 4, 5, 6, 7, 7], 3),
+        matroid_of_labels([1, 2, 4, 8, 3, 12], 4),
     ]
     for m in samples:
         assert is_regular(m)[0] == is_regular(m.dual())[0]

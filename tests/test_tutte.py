@@ -16,6 +16,7 @@ from conftest import (
     matroid,
     reference_cases,
 )
+from matroidcat.catalogue import matroid_of_labels
 from matroidcat.gf2 import Gf2Matrix, NotInSpan
 from matroidcat.matroid import BinaryMatroid
 from matroidcat.tutte import (
@@ -31,15 +32,11 @@ from matroidcat.tutte import (
 )
 
 
-def from_labels(labels, k):
-    return BinaryMatroid(Gf2Matrix.from_columns(list(labels), k))
-
-
-PARALLEL_PAIR = from_labels([1, 1], 1)
-SINGLE_COLOOP = from_labels([1], 1)
+PARALLEL_PAIR = matroid_of_labels([1, 1], 1)
+SINGLE_COLOOP = matroid_of_labels([1], 1)
 SINGLE_LOOP = BinaryMatroid(Gf2Matrix([], 1))
 
-R10 = from_labels(R10_LABELS, 5)
+R10 = matroid_of_labels(R10_LABELS, 5)
 
 # the textbook coefficient grid of the Fano plane,
 # x^3 + 4x^2 + 3x + 7xy + 3y + 6y^2 + 3y^3 + y^4
