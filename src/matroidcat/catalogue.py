@@ -32,8 +32,7 @@ import functools
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .enumeration import InvalidShape, canonical_form, generate
 from .gf2 import Gf2Matrix, nullspace_of_reduced, rank_of_labels
@@ -69,8 +68,7 @@ _LINE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class CatalogueEntry:
+class CatalogueEntry(NamedTuple):
     rank: int
     size: int
     labels: tuple[int, ...]
@@ -270,7 +268,7 @@ def run_dual_listing(
     entries = list(_pipeline(k, n, matroid_class, dualize=True))
     if canonicalize:
         entries = [
-            replace(e, labels=canonical_form(e.labels, k), dualized=False)
+            e._replace(labels=canonical_form(e.labels, k), dualized=False)
             for e in entries
         ]
         entries.sort(key=lambda e: e.labels)

@@ -19,16 +19,14 @@ regular without reducing a single column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .gf2 import echelon_basis, reduce_bits
 from .matroid import BinaryMatroid
 
 
-@dataclass(frozen=True)
-class FanoWitness:
+class FanoWitness(NamedTuple):
     """A flat whose simplified contraction is the named obstruction."""
 
     flat: frozenset[int]

@@ -15,24 +15,26 @@ the ``tutte=`` field of ``CatalogueEntry``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .gf2 import Gf2Matrix, NotInSpan, echelon_basis, reduce_bits, solve_in_basis
 from .matroid import BinaryMatroid
 
 
-@dataclass(frozen=True)
-class TuttePolynomial:
+# a NamedTuple class body may not define __new__, so the checks live in a
+# subclass of the functional form
+class TuttePolynomial(NamedTuple("TuttePolynomial", [("grid", tuple)])):
     """Coefficient grid: grid[i][j] is the coefficient of x^i y^j."""
 
-    grid: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.grid or any(len(row) != len(self.grid[0]) for row in self.grid):
+    def __new__(cls, grid: tuple[tuple[int, ...], ...]) -> "TuttePolynomial":
+        if not grid or any(len(row) != len(grid[0]) for row in grid):
             raise ValueError("grid must be rectangular and non-empty")
-        if any(c < 0 for row in self.grid for c in row):
+        if any(c < 0 for row in grid for c in row):
             raise ValueError("coefficients count bases; they cannot be negative")
+        return super().__new__(cls, grid)
 
     @property
     def max_x(self) -> int:

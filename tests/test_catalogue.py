@@ -68,6 +68,18 @@ def test_entry_round_trip():
             assert CatalogueEntry.from_line(entry.to_line()) == entry
 
 
+def test_records_are_immutable():
+    for record, field in (
+        (CatalogueEntry(2, 3, (1, 2, 3), "LSCR"), "flags"),
+        (regularity.FanoWitness(frozenset(), "fano"), "kind"),
+        (TuttePolynomial(((0, 1), (1, 0))), "grid"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.note = "x"
+
+
 def test_from_line_rejects_garbage():
     # each line differs from one that to_line writes in one field
     valid = "k=3 n=4 r=(1,2,4,7) flags=LSCR tutte=0,1;1,0;1,0;1,0 dualized"
