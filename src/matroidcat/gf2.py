@@ -2,8 +2,7 @@
 
 A vector is a plain Python int: bit ``i-1`` holds coordinate ``i``, so
 coordinate 1 is the least significant bit.  Matrix rows and columns are such
-ints too.  The pivot columns ``rref`` returns are 1-based.
-Addition is XOR, the scalar product is the parity of AND,
+ints too.  Addition is XOR, the scalar product is the parity of AND,
 ``(a & b).bit_count() & 1``.  Everything here is a pure function on
 immutable values.
 
@@ -52,23 +51,6 @@ class Gf2Matrix:
         self.ncols = ncols
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Gf2Matrix":
-        if not rows:
-            raise ValueError("from_rows needs at least one row; use Gf2Matrix((), n)")
-        ncols = len(rows[0])
-        packed = []
-        for row in rows:
-            if len(row) != ncols:
-                raise ValueError("rows must have equal length")
-            bits = 0
-            for i, e in enumerate(row):
-                if e not in (0, 1):
-                    raise ValueError("entries must be 0 or 1")
-                bits |= e << i
-            packed.append(bits)
-        return cls(packed, ncols)
-
-    @classmethod
     def from_columns(cls, columns: Sequence[int], nrows: int) -> "Gf2Matrix":
         """Build from column bitmasks (bit i-1 of a column = entry in row i)."""
         if nrows < 0:
@@ -78,56 +60,37 @@ class Gf2Matrix:
                 raise ValueError(f"column 0x{c:x} does not fit in {nrows} rows")
         return cls(_transpose(columns, nrows), len(columns))
 
-    @classmethod
-    def identity(cls, k: int) -> "Gf2Matrix":
-        return cls([1 << i for i in range(k)], k)
-
     def columns(self) -> tuple[int, ...]:
         """All columns as bitmasks, left to right."""
         return tuple(_transpose(self.rows, self.ncols))
 
-    def entries(self) -> list[list[int]]:
-        return [[r >> j & 1 for j in range(self.ncols)] for r in self.rows]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Gf2Matrix)
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.ncols))
-
     def __repr__(self) -> str:
-        body = ";".join("".join(map(str, row)) for row in self.entries())
+        body = ";".join(
+            "".join(str(r >> j & 1) for j in range(self.ncols)) for r in self.rows
+        )
         return f"Gf2Matrix({self.nrows}x{self.ncols}:{body})"
 
-    # -- elimination ------------------------------------------------------
+    def rref(self) -> "Gf2Matrix":
+        """Reduced row echelon form with leftmost pivots.
 
-    def rref(self) -> tuple["Gf2Matrix", tuple[int, ...]]:
-        """Reduced row echelon form and its 1-based pivot columns.
-
-        Pivots are chosen in column order 1..n, which makes the result (and
-        everything downstream of it) deterministic.
+        The rows are taken one at a time and reduced by the pivots found so
+        far; a row left nonzero brings its lowest set bit as a new pivot,
+        which is cleared from the rows kept before it.  The kept rows come
+        sorted by pivot, then the zero rows, so the pivot of each nonzero row
+        is its lowest set bit and its column is a unit column.  The form is
+        unique to the row space.
         """
-        work = list(self.rows)
-        pivot_cols = []
-        r = 0
-        for j in range(self.ncols):
-            bit = 1 << j
-            p = next((i for i in range(r, len(work)) if work[i] & bit), None)
-            if p is None:
-                continue
-            work[r], work[p] = work[p], work[r]
-            for i in range(len(work)):
-                if i != r and work[i] & bit:
-                    work[i] ^= work[r]
-            pivot_cols.append(j + 1)
-            r += 1
-            if r == len(work):
-                break
-        return Gf2Matrix(work, self.ncols), tuple(pivot_cols)
+        kept: list[int] = []
+        for r in self.rows:
+            for row in kept:
+                if r & row & -row:
+                    r ^= row
+            if r:
+                low = r & -r
+                kept = [row ^ r if row & low else row for row in kept]
+                kept.append(r)
+        kept.sort(key=lambda row: row & -row)
+        return Gf2Matrix(kept + [0] * (self.nrows - len(kept)), self.ncols)
 
 
 def solve_in_basis(basis_cols: Gf2Matrix, target: int) -> int:

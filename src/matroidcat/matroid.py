@@ -1,18 +1,20 @@
 """Binary matroids represented as column matroids of GF(2) matrices.
 
-A matroid here is a full-row-rank k x n matrix together with ground-set
-labels bound to the columns left to right; the columns are read off once, at
-construction.  Subsets of the ground set are plain ``frozenset[int]``
-values.  Circuits are minimal supports of null-space vectors, cocircuits
-minimal supports of row-space vectors, hyperplanes their complements.
-Rank and closure come from one echelon basis of the columns: its length is
-the rank, and a column lies in the closure when it reduces to 0 against it.
-A flat of rank r is the closure of an independent set of size r.  A
-contraction reduces the columns against those it contracts, a deletion
-re-echelons the rows of the columns left.  The reduced row echelon form
-computed at construction, which checks the rank, is kept: its rows are the
-fundamental cocircuits of the lex-first basis, and connectivity and the
-Tutte polynomial read them directly.
+A matroid is built from a full-row-rank k x n matrix and ground-set labels
+bound to its columns left to right, and keeps two things read off that
+matrix once: its columns, by label, and its reduced row echelon form, whose
+shape is the rank and size and which has no zero row exactly when the
+rank is full.  The matrix itself is not kept.  Subsets of the ground set are
+plain ``frozenset[int]`` values.  Circuits are minimal supports of
+null-space vectors, cocircuits minimal supports of row-space vectors (the
+span of the reduced rows), hyperplanes their complements.  Rank and closure
+come from one echelon basis of the columns: its length is the rank, and a
+column lies in the closure when it reduces to 0 against it.  A flat of rank
+r is the closure of an independent set of size r.  A contraction reduces
+the columns against those it contracts, a deletion re-echelons the rows of
+the columns left.  The reduced rows are the fundamental cocircuits of the
+lex-first basis, and connectivity and the Tutte polynomial read them
+directly.
 """
 
 from __future__ import annotations
@@ -96,10 +98,9 @@ class BinaryMatroid:
             raise ValueError("ground size must match the column count")
         if any(a >= b for a, b in zip(ground, ground[1:])):
             raise ValueError("ground labels must be strictly increasing")
-        reduced, pivots = matrix.rref()
-        if len(pivots) != matrix.nrows:
+        reduced = matrix.rref()
+        if not all(reduced.rows):
             raise ValueError("matrix rows must be linearly independent")
-        self.matrix = matrix
         # each row of the reduced matrix is the fundamental cocircuit of its
         # pivot with respect to the basis of all pivots, the lex-first one
         self.reduced = reduced
@@ -108,11 +109,11 @@ class BinaryMatroid:
 
     @property
     def rank(self) -> int:
-        return self.matrix.nrows
+        return self.reduced.nrows
 
     @property
     def size(self) -> int:
-        return self.matrix.ncols
+        return self.reduced.ncols
 
     def column_of(self, e: int) -> int:
         """Column of element e as a bitmask over rows."""
@@ -132,7 +133,7 @@ class BinaryMatroid:
     def cocircuits(self) -> frozenset[frozenset[int]]:
         """Minimal nonzero supports of the row space."""
         masks = _minimal_supports(
-            _space_vectors(self.matrix.rows, "row space"), self.size - self.rank + 1
+            _space_vectors(self.reduced.rows, "row space"), self.size - self.rank + 1
         )
         return frozenset(self._mask_to_subset(m) for m in masks)
 

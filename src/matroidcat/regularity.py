@@ -37,7 +37,7 @@ def is_fano(m: BinaryMatroid) -> bool:
     """True iff the columns are exactly the seven nonzero vectors of GF(2)^3."""
     if m.rank != 3 or m.size != 7:
         return False
-    return set(m.matrix.columns()) == set(range(1, 8))
+    return {m.column_of(e) for e in m.ground} == set(range(1, 8))
 
 
 def is_fano_dual(m: BinaryMatroid) -> bool:

@@ -36,6 +36,11 @@ class TuttePolynomial(NamedTuple("TuttePolynomial", [("grid", tuple)])):
             raise ValueError("coefficients count bases; they cannot be negative")
         return super().__new__(cls, grid)
 
+    # _replace builds its result through _make, so both run the checks above
+    @classmethod
+    def _make(cls, iterable) -> "TuttePolynomial":
+        return cls(*iterable)
+
     @property
     def max_x(self) -> int:
         return len(self.grid) - 1

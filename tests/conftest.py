@@ -91,8 +91,14 @@ POLYGON_CIRCUITS = [
 R10_LABELS = tuple(v for v in range(32) if bin(v).count("1") == 3)
 
 
+def packed(rows: list[list[int]]) -> Gf2Matrix:
+    """The matrix of the 0/1 rows above: entry j of a row is its bit j."""
+    bits = [sum(e << j for j, e in enumerate(row)) for row in rows]
+    return Gf2Matrix(bits, len(rows[0]))
+
+
 def matroid(rows: list[list[int]]) -> BinaryMatroid:
-    return BinaryMatroid(Gf2Matrix.from_rows(rows))
+    return BinaryMatroid(packed(rows))
 
 
 def reference_cases() -> list[BinaryMatroid]:

@@ -24,6 +24,7 @@ from conftest import (
     is_regular_by_camion,
     matroid,
     orbit_count,
+    packed,
 )
 from matroidcat.catalogue import main, matroid_of_labels, run_generate
 from matroidcat.enumeration import generate
@@ -94,7 +95,7 @@ def test_criterion_2_contraction_regression():
     with criterion("criterion 2 (13-element contraction)", 1.0):
         m = matroid(NONREGULAR_13_ROWS)
         minor = m.contract_independent({2, 7})
-        block = Gf2Matrix.from_rows(CONTRACTED_BLOCK_ROWS)
+        block = packed(CONTRACTED_BLOCK_ROWS)
         assert minor.ground == (1, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13)
         for e, column in zip(CONTRACTED_COLUMN_ORDER, block.columns()):
             assert minor.column_of(e) == column

@@ -150,7 +150,7 @@ def test_generate_with_tutte():
 
 
 def canonical_labels(m):
-    return canonical_form(m.matrix.columns(), m.rank)
+    return canonical_form([m.column_of(e) for e in m.ground], m.rank)
 
 
 def test_regular_cell_5_15_is_exactly_k6():

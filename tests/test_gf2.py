@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FANO_DUAL_ROWS, FANO_ROWS, gl_column_tuples
+from conftest import FANO_DUAL_ROWS, FANO_ROWS, gl_column_tuples, packed
 from matroidcat.gf2 import (
     Gf2Matrix,
     NotInSpan,
@@ -37,40 +37,26 @@ def gf2_matrices(draw, max_rows: int = 6, max_cols: int = 9) -> Gf2Matrix:
 
 
 def test_matrix_constructors_agree():
-    rows = [[1, 0, 1], [0, 1, 1]]
-    m = Gf2Matrix.from_rows(rows)
-    assert m.entries() == rows
+    m = Gf2Matrix((0b101, 0b110), 3)
     assert m.nrows == 2 and m.ncols == 3
     # column j packs entry (i, j) into bit i-1
     assert m.columns() == (0b01, 0b10, 0b11)
-    again = Gf2Matrix.from_columns(m.columns(), 2)
-    assert again == m
-    assert Gf2Matrix.identity(3).entries() == [
-        [1, 0, 0],
-        [0, 1, 0],
-        [0, 0, 1],
-    ]
+    assert Gf2Matrix.from_columns(m.columns(), 2).rows == m.rows
 
 
 def test_rows_are_bitmasks():
-    m = Gf2Matrix.from_rows([[1, 0, 1], [0, 1, 1]])
+    m = Gf2Matrix.from_columns([0b01, 0b10, 0b11], 2)
     assert m.rows == (0b101, 0b110)
     assert repr(m) == "Gf2Matrix(2x3:101;011)"
     assert repr(Gf2Matrix((), 4)) == "Gf2Matrix(0x4:)"
-    with pytest.raises(ValueError, match="entries must be 0 or 1"):
-        Gf2Matrix.from_rows([[1, 0], [2, 0]])
-    with pytest.raises(ValueError, match="rows must have equal length"):
-        Gf2Matrix.from_rows([[1, 0], [1]])
-    with pytest.raises(ValueError, match="needs at least one row"):
-        Gf2Matrix.from_rows([])
 
 
 @given(gf2_matrices())
 def test_columns_round_trip(m):
-    assert Gf2Matrix.from_columns(m.columns(), m.nrows) == m
-    entries = m.entries()
+    again = Gf2Matrix.from_columns(m.columns(), m.nrows)
+    assert (again.rows, again.ncols) == (m.rows, m.ncols)
     assert m.columns() == tuple(
-        sum(row[j] << i for i, row in enumerate(entries)) for j in range(m.ncols)
+        sum((r >> j & 1) << i for i, r in enumerate(m.rows)) for j in range(m.ncols)
     )
 
 
@@ -82,45 +68,69 @@ def test_constructors_reject_negative_dimensions():
 
 
 def test_rank_examples():
-    assert rank_of_labels(Gf2Matrix.from_rows(FANO_ROWS).rows) == 3
+    assert rank_of_labels(packed(FANO_ROWS).rows) == 3
     assert rank_of_labels(Gf2Matrix([0, 0], 5).rows) == 0
-    assert rank_of_labels(Gf2Matrix.identity(5).rows) == 5
+    assert rank_of_labels([1 << i for i in range(5)]) == 5
 
 
 def test_rref_prefers_leftmost_pivots():
-    m = Gf2Matrix.from_rows([[0, 1, 1], [1, 1, 0]])
-    reduced, pivots = m.rref()
-    assert pivots == (1, 2)
-    assert reduced.entries() == [[1, 0, 1], [0, 1, 1]]
+    # rows 011 and 110 reduce to 101 and 011, with pivots in columns 1 and 2
+    reduced = Gf2Matrix([0b110, 0b011], 3).rref()
+    assert reduced.rows == (0b101, 0b110)
+    assert [r & -r for r in reduced.rows] == [0b001, 0b010]
 
 
 @given(gf2_matrices())
 def test_rref_is_idempotent_with_unit_pivot_columns(m):
-    reduced, pivots = m.rref()
-    assert reduced.rref() == (reduced, pivots)
+    reduced = m.rref()
+    assert (reduced.nrows, reduced.ncols) == (m.nrows, m.ncols)
+    assert reduced.rref().rows == reduced.rows
     assert span_labels(reduced.rows) == span_labels(m.rows)
-    assert rank_of_labels(m.rows) == len(pivots) and list(pivots) == sorted(pivots)
+    # the pivot of a nonzero row is its lowest set bit, in a unit column
+    pivots = [(r & -r).bit_length() - 1 for r in reduced.rows if r]
+    assert rank_of_labels(m.rows) == len(pivots) and pivots == sorted(pivots)
     for r, p in enumerate(pivots):
-        assert reduced.columns()[p - 1] == 1 << r
-        # leftmost: the pivot is the row's first nonzero entry
-        assert reduced.rows[r] & ((1 << (p - 1)) - 1) == 0
+        assert reduced.columns()[p] == 1 << r
     assert not any(reduced.rows[len(pivots):])
 
 
+@settings(max_examples=300)
+@given(gf2_matrices(), st.data())
+def test_rref_pivots_are_the_leftmost_independent_columns(m, data):
+    # repeat some rows, so that eliminating them must leave zero rows
+    extra = data.draw(st.lists(st.sampled_from(m.rows), max_size=3)) if m.rows else []
+    m = Gf2Matrix(m.rows + tuple(extra), m.ncols)
+    columns = m.columns()
+    leftmost = [
+        j
+        for j in range(m.ncols)
+        if rank_of_labels(columns[: j + 1]) > rank_of_labels(columns[:j])
+    ]
+    reduced = m.rref()
+    nonzero = [r for r in reduced.rows if r]
+    # increasing pivot order, each pivot the lowest bit of its row, zero rows last
+    assert [(r & -r).bit_length() - 1 for r in nonzero] == leftmost
+    assert reduced.rows == tuple(nonzero) + (0,) * (m.nrows - len(nonzero))
+    reduced_columns = reduced.columns()
+    for i, j in enumerate(leftmost):
+        assert reduced_columns[j] == 1 << i
+    assert span_labels(reduced.rows) == span_labels(m.rows)
+
+
 def test_nullspace_is_orthogonal_complement():
-    m = Gf2Matrix.from_rows(FANO_ROWS)
-    ns = nullspace_of_reduced(m.rref()[0])
+    m = packed(FANO_ROWS)
+    ns = nullspace_of_reduced(m.rref())
     assert ns.nrows == 4 and ns.ncols == 7
     for v in ns.rows:
         for r in m.rows:
             assert (v & r).bit_count() & 1 == 0
     # spans the same space as the known dual representation
-    assert span_labels(ns.rows) == span_labels(Gf2Matrix.from_rows(FANO_DUAL_ROWS).rows)
+    assert span_labels(ns.rows) == span_labels(packed(FANO_DUAL_ROWS).rows)
 
 
 @given(gf2_matrices())
 def test_nullspace_basis_is_orthogonal_of_full_size(m):
-    ns = nullspace_of_reduced(m.rref()[0])
+    ns = nullspace_of_reduced(m.rref())
     assert ns.ncols == m.ncols
     assert ns.nrows == rank_of_labels(ns.rows) == m.ncols - rank_of_labels(m.rows)
     # its span is every vector orthogonal to all the rows
@@ -133,15 +143,15 @@ def test_nullspace_basis_is_orthogonal_of_full_size(m):
 
 
 def test_nullspace_trivial_cases():
-    assert nullspace_of_reduced(Gf2Matrix.identity(5)).nrows == 0
-    ns = nullspace_of_reduced(Gf2Matrix.from_rows([[1, 1]]).rref()[0])
-    assert ns.entries() == [[1, 1]]
+    assert nullspace_of_reduced(Gf2Matrix([1 << i for i in range(5)], 5)).nrows == 0
+    ns = nullspace_of_reduced(Gf2Matrix([0b11], 2).rref())
+    assert ns.rows == (0b11,)
 
 
 def test_row_space():
-    assert span_labels(Gf2Matrix.from_rows([[1, 0, 1]]).rows) == {0b000, 0b101}
-    assert len(span_labels(Gf2Matrix.from_rows(FANO_ROWS).rows)) == 8
-    assert span_labels(Gf2Matrix.identity(2).rows) == {0b00, 0b01, 0b10, 0b11}
+    assert span_labels([0b101]) == {0b000, 0b101}
+    assert len(span_labels(packed(FANO_ROWS).rows)) == 8
+    assert span_labels([0b01, 0b10]) == {0b00, 0b01, 0b10, 0b11}
 
 
 @given(gf2_matrices())
@@ -167,11 +177,11 @@ def test_row_space_closed_under_xor():
 
 
 def test_solve_in_basis_identity():
-    assert solve_in_basis(Gf2Matrix.identity(3), 0b101) == 0b101
+    assert solve_in_basis(Gf2Matrix.from_columns([1, 2, 4], 3), 0b101) == 0b101
 
 
 def test_solve_in_basis_fano_column():
-    fano = Gf2Matrix.from_rows(FANO_ROWS)
+    fano = packed(FANO_ROWS)
     basis = Gf2Matrix.from_columns(fano.columns()[:3], 3)
     target = 0b111  # column 7
     assert solve_in_basis(basis, target) == 0b111
@@ -249,7 +259,7 @@ def test_rank_plus_nullity_is_ncols():
     rng = random.Random(4)
     for _ in range(30):
         m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 8))
-        ns = nullspace_of_reduced(m.rref()[0])
+        ns = nullspace_of_reduced(m.rref())
         assert rank_of_labels(m.rows) + rank_of_labels(ns.rows) == m.ncols
         assert ns.nrows == m.ncols - rank_of_labels(m.rows)
 

@@ -17,6 +17,7 @@ from conftest import (
     binary_matroids,
     matroid,
     orbit_maximum,
+    packed,
     reference_cases,
 )
 from matroidcat.catalogue import matroid_of_labels
@@ -33,9 +34,13 @@ from matroidcat.matroid import (
 PARALLEL_PAIR = matroid_of_labels([1, 1], 1)  # matrix (1 1)
 
 
+def columns_of(m):
+    return [m.column_of(e) for e in m.ground]
+
+
 def test_rejects_rank_deficient_matrix():
     with pytest.raises(ValueError):
-        BinaryMatroid(Gf2Matrix.from_rows([[1, 1], [1, 1]]))
+        BinaryMatroid(Gf2Matrix([0b11, 0b11], 2))
 
 
 def test_ground_defaults_to_one_through_n(fano):
@@ -44,7 +49,7 @@ def test_ground_defaults_to_one_through_n(fano):
 
 
 def test_cocircuits_two_coloops():
-    eye = BinaryMatroid(Gf2Matrix.identity(2))
+    eye = matroid_of_labels([1, 2], 2)
     assert eye.cocircuits == {frozenset({1}), frozenset({2})}
 
 
@@ -58,7 +63,7 @@ def test_cocircuits_fano(fano):
 
 
 def test_circuits_free_matroid_has_none():
-    assert BinaryMatroid(Gf2Matrix.identity(3)).circuits == frozenset()
+    assert matroid_of_labels([1, 2, 4], 3).circuits == frozenset()
 
 
 def test_circuits_parallel_pair():
@@ -89,7 +94,7 @@ def test_circuit_cocircuit_intersection_never_single(fano, polygon):
 
 
 def test_hyperplanes():
-    eye = BinaryMatroid(Gf2Matrix.identity(2))
+    eye = matroid_of_labels([1, 2], 2)
     assert eye.hyperplanes() == {frozenset({1}), frozenset({2})}
     assert PARALLEL_PAIR.hyperplanes() == {frozenset()}
 
@@ -107,7 +112,7 @@ def test_flats_of_corank(fano):
     assert fano.flats_of_corank(1) == fano.hyperplanes()
     assert fano.flats_of_corank(2) == {frozenset({e}) for e in fano.ground}
     assert fano.flats_of_corank(3) == {frozenset()}
-    eye = BinaryMatroid(Gf2Matrix.identity(3))
+    eye = matroid_of_labels([1, 2, 4], 3)
     assert eye.flats_of_corank(1) == {
         frozenset({2, 3}), frozenset({1, 3}), frozenset({1, 2}),
     }
@@ -180,7 +185,7 @@ def test_circuit_spaces_beyond_the_bound_are_refused():
     with pytest.raises(CircuitSpaceTooLarge, match="null space"):
         matroid_of_labels([1] * 22, 1).circuits
     with pytest.raises(CircuitSpaceTooLarge, match="row space"):
-        BinaryMatroid(Gf2Matrix.identity(21)).cocircuits
+        matroid_of_labels([1 << i for i in range(21)], 21).cocircuits
 
 
 def test_flats_of_corank_bounds(fano):
@@ -213,20 +218,20 @@ def test_simplify_drops_loops_and_merges_parallel():
     m = matroid_of_labels([0, 3, 3, 2], 2)
     simple, classes = m.simplify()
     assert simple.ground == (2, 4)
-    assert simple.matrix.columns() == (3, 2)
+    assert columns_of(simple) == [3, 2]
     assert classes == {2: frozenset({2, 3}), 4: frozenset({4})}
 
 
 def test_simplify_of_simple_matroid_is_identity(fano):
     simple, classes = fano.simplify()
-    assert simple.matrix == fano.matrix
+    assert simple.ground == fano.ground and columns_of(simple) == columns_of(fano)
     assert classes == {e: frozenset({e}) for e in fano.ground}
 
 
 def test_simplify_is_idempotent(polygon):
     once, _ = polygon.simplify()
     twice, _ = once.simplify()
-    assert once.matrix == twice.matrix
+    assert twice.ground == once.ground and columns_of(twice) == columns_of(once)
 
 
 def test_contract_block_regression(nonregular13):
@@ -234,7 +239,7 @@ def test_contract_block_regression(nonregular13):
     minor = nonregular13.contract_independent({2, 7})
     assert minor.rank == 3
     assert minor.ground == (1, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13)
-    block = Gf2Matrix.from_rows(CONTRACTED_BLOCK_ROWS)
+    block = packed(CONTRACTED_BLOCK_ROWS)
     for e, column in zip(CONTRACTED_COLUMN_ORDER, block.columns()):
         assert minor.column_of(e) == column
     # the surviving basis elements 1, 4, 5 keep unit columns
@@ -251,15 +256,14 @@ def test_contract_parallel_classes(nonregular13):
 
 def test_contract_empty_set_is_identity(fano):
     minor = fano.contract_independent(set())
-    assert minor.matrix == fano.matrix
-    assert minor.ground == fano.ground
+    assert minor.ground == fano.ground and columns_of(minor) == columns_of(fano)
 
 
 def test_contract_basis_element_of_free_matroid():
-    eye = BinaryMatroid(Gf2Matrix.identity(3))
+    eye = matroid_of_labels([1, 2, 4], 3)
     minor = eye.contract_independent({1})
     assert minor.ground == (2, 3)
-    assert minor.matrix == Gf2Matrix.identity(2)
+    assert columns_of(minor) == [1, 2]
 
 
 def test_contract_rejects_dependent_set(fano):
@@ -300,7 +304,7 @@ def test_delete(fano):
     assert smaller.ground == (1, 2, 3, 4, 5, 6)
     assert smaller.rank == 3
     # deleting a coloop drops the rank
-    eye = BinaryMatroid(Gf2Matrix.identity(2))
+    eye = matroid_of_labels([1, 2], 2)
     assert eye.delete({1}).rank == 1
 
 
@@ -316,26 +320,29 @@ def test_contraction_is_deletion_in_the_dual(m):
 def test_dual_fano(fano):
     d = fano.dual()
     assert d.rank == 4 and d.size == 7
-    for v in d.matrix.rows:
-        for r in fano.matrix.rows:
+    for v in d.reduced.rows:
+        for r in fano.reduced.rows:
             assert (v & r).bit_count() & 1 == 0
 
 
 def test_dual_free_matroid_is_all_loops():
-    d = BinaryMatroid(Gf2Matrix.identity(3)).dual()
+    d = matroid_of_labels([1, 2, 4], 3).dual()
     assert d.rank == 0
     assert d.loops() == {1, 2, 3}
 
 
 def test_dual_parallel_pair_is_self_dual():
-    assert PARALLEL_PAIR.dual().matrix == Gf2Matrix.from_rows([[1, 1]])
+    d = PARALLEL_PAIR.dual()
+    assert d.ground == (1, 2) and columns_of(d) == [1, 1]
 
 
 @settings(max_examples=300)
 @given(binary_matroids())
 def test_dual_reads_the_null_space_off_the_reduced_matrix(m):
-    # the same rows as a fresh elimination, so every dual listing keeps its bytes
-    assert m.dual().matrix == nullspace_of_reduced(m.matrix.rref()[0])
+    # the same columns as a fresh elimination of m's columns, so every dual
+    # listing keeps its bytes
+    fresh = nullspace_of_reduced(Gf2Matrix.from_columns(columns_of(m), m.rank).rref())
+    assert columns_of(m.dual()) == list(fresh.columns())
 
 
 def test_dual_swaps_circuits_and_cocircuits(fano, polygon):
@@ -351,10 +358,10 @@ def test_double_dual_keeps_circuits(fano, polygon):
 
 def test_is_connected():
     assert PARALLEL_PAIR.is_connected()
-    assert not BinaryMatroid(Gf2Matrix.identity(2)).is_connected()
+    assert not matroid_of_labels([1, 2], 2).is_connected()
     assert matroid(FANO_ROWS).is_connected()
     # one element: connected iff it is not a loop
-    assert BinaryMatroid(Gf2Matrix.from_rows([[1]])).is_connected()
+    assert BinaryMatroid(Gf2Matrix([1], 1)).is_connected()
     assert not BinaryMatroid(Gf2Matrix([], 1)).is_connected()
     # the empty matroid is not connected
     assert not BinaryMatroid(Gf2Matrix([], 0)).is_connected()
@@ -362,9 +369,8 @@ def test_is_connected():
 
 def test_is_connected_with_coloop(polygon):
     # adding a coloop disconnects
-    rows = [row + [0] for row in polygon.matrix.entries()]
-    rows.append([0] * polygon.size + [1])
-    assert not BinaryMatroid(Gf2Matrix.from_rows(rows)).is_connected()
+    columns = columns_of(polygon) + [1 << polygon.rank]
+    assert not matroid_of_labels(columns, polygon.rank + 1).is_connected()
 
 
 def linked_by_circuits(m):
@@ -400,7 +406,7 @@ def test_is_connected_matches_linked_circuits(m):
 def test_isomorphic_fano_representations():
     # binary matroids are uniquely representable, so isomorphism is equality
     # of canonical forms, which the brute-force orbit maxima confirm
-    fano, alt = (matroid(rows).matrix.columns() for rows in (FANO_ROWS, FANO_ALT_ROWS))
+    fano, alt = (packed(rows).columns() for rows in (FANO_ROWS, FANO_ALT_ROWS))
     assert canonical_form(fano, 3) == canonical_form(alt, 3)
     assert orbit_maximum(fano, 3) == orbit_maximum(alt, 3)
 
@@ -415,4 +421,4 @@ def test_non_isomorphic_same_shape():
 def test_double_dual_isomorphic_small(m):
     double = m.dual().dual()
     assert double.ground == m.ground
-    assert double.reduced == m.reduced
+    assert double.reduced.rows == m.reduced.rows

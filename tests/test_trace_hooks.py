@@ -59,3 +59,5 @@ def test_trace_hooks_count_every_layer():
     # one full canonicity test per candidate; the fill's tests of subspace
     # restrictions are part of candidate iteration
     assert metrics["enumeration.canonicity.calls"] == metrics["enumeration.candidates"]
+    # one elimination per built matroid: nothing else calls Gf2Matrix.rref
+    assert metrics["gf2.rref.calls"] == metrics["matroid.build.calls"]

@@ -57,7 +57,7 @@ def test_bases_polygon(polygon):
 
 
 def test_bases_order_and_trivial_cases():
-    eye = BinaryMatroid(Gf2Matrix.identity(3))
+    eye = matroid_of_labels([1, 2, 4], 3)
     assert bases(eye) == [frozenset({1, 2, 3})]
     assert bases(PARALLEL_PAIR) == [frozenset({1}), frozenset({2})]
     listed = [tuple(sorted(b)) for b in bases(matroid(FANO_ROWS))]
@@ -164,7 +164,7 @@ def test_external_activity_parallel_pair():
 
 
 def test_internal_activity():
-    eye = BinaryMatroid(Gf2Matrix.identity(4))
+    eye = matroid_of_labels([1, 2, 4, 8], 4)
     assert internal_activity(eye, frozenset({1, 2, 3, 4})) == 4
     assert internal_activity(PARALLEL_PAIR, frozenset({2})) == 1
     assert internal_activity(PARALLEL_PAIR, frozenset({1})) == 0
@@ -237,7 +237,7 @@ def test_dual_grid_is_transpose(polygon):
 def test_relabelling_leaves_polynomial_invariant(polygon):
     rng = random.Random(555)
     reference = tutte_by_activities(polygon).grid
-    cols = list(polygon.matrix.columns())
+    cols = [polygon.column_of(e) for e in polygon.ground]
     for _ in range(5):
         rng.shuffle(cols)
         shuffled = BinaryMatroid(Gf2Matrix.from_columns(cols, polygon.rank))
@@ -251,6 +251,16 @@ def test_grid_validation():
         TuttePolynomial(((0, -1),))
 
 
+def test_make_and_replace_check_the_grid():
+    # _replace builds through _make; both must refuse what the constructor does
+    t = TuttePolynomial(((0, 1), (1, 0)))
+    assert t._replace(grid=((1,),)) == TuttePolynomial(((1,),))
+    with pytest.raises(ValueError, match="non-empty"):
+        t._replace(grid=())
+    with pytest.raises(ValueError, match="cannot be negative"):
+        TuttePolynomial._make([((0, -1),)])
+
+
 def test_polynomial_accessors():
     t = TuttePolynomial(FANO_GRID)
     assert t.max_x == 3 and t.max_y == 4
@@ -261,7 +271,7 @@ def test_polynomial_accessors():
 
 def test_loops_and_coloops_mix():
     # one coloop and two loops: T = x * y^2
-    m = BinaryMatroid(Gf2Matrix.from_rows([[0, 1, 0]]))
+    m = BinaryMatroid(Gf2Matrix([0b010], 3))
     t = tutte_by_activities(m)
     assert t.evaluate(2, 3) == 2 * 9
     assert t.grid == tutte_by_deletion_contraction(m).grid
