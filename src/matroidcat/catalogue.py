@@ -35,7 +35,7 @@ import sys
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .enumeration import InvalidShape, canonical_form, generate
-from .gf2 import Gf2Matrix, nullspace_of_reduced, rank_of_labels
+from .gf2 import nullspace_of_reduced, rank_of_labels
 from .matroid import BinaryMatroid
 from .orbits import class_counts
 from .regularity import is_regular
@@ -98,7 +98,7 @@ class CatalogueEntry(NamedTuple):
         k, n, labels, flags, grid, dualized = match.groups()
         k, n, labels = int(k), int(n), tuple(map(int, labels.split(",")))
         tutte = grid and TuttePolynomial(
-            tuple(tuple(map(int, row.split(","))) for row in grid.split(";"))
+            map(int, row.split(",")) for row in grid.split(";")
         )
         entry = cls(k, n, labels, flags, tutte, bool(dualized))
         if len(labels) != n or list(labels) != sorted(labels) or labels[-1] >> k:
@@ -116,7 +116,7 @@ class CatalogueEntry(NamedTuple):
 
 def matroid_of_labels(labels: Iterable[int], k: int) -> BinaryMatroid:
     """Matroid whose columns are the vectors named by the labels."""
-    return BinaryMatroid(Gf2Matrix.from_columns(list(labels), k))
+    return BinaryMatroid(tuple(labels), k)
 
 
 def _loop_flags(labels: tuple[int, ...]) -> str:

@@ -1,20 +1,19 @@
 """Binary matroids represented as column matroids of GF(2) matrices.
 
-A matroid is built from a full-row-rank k x n matrix and ground-set labels
-bound to its columns left to right, and keeps two things read off that
-matrix once: its columns, by label, and its reduced row echelon form, whose
-shape is the rank and size and which has no zero row exactly when the
-rank is full.  The matrix itself is not kept.  Subsets of the ground set are
-plain ``frozenset[int]`` values.  Circuits are minimal supports of
-null-space vectors, cocircuits minimal supports of row-space vectors (the
-span of the reduced rows), hyperplanes their complements.  Rank and closure
-come from one echelon basis of the columns: its length is the rank, and a
-column lies in the closure when it reduces to 0 against it.  A flat of rank
-r is the closure of an independent set of size r.  A contraction reduces
-the columns against those it contracts, a deletion re-echelons the rows of
-the columns left.  The reduced rows are the fundamental cocircuits of the
-lex-first basis, and connectivity and the Tutte polynomial read them
-directly.
+A matroid is built from its columns, bitmasks over k rows that span
+GF(2)^k, and ground-set labels bound to them left to right.  It keeps the
+columns, by label, and the reduced row echelon form of the k x n matrix
+they make, whose shape is the rank and size and which has no zero row
+exactly when the columns span.  Subsets of the ground set are plain
+``frozenset[int]`` values.  Circuits are minimal supports of null-space
+vectors, cocircuits the circuits of the dual (the one space walk),
+hyperplanes their complements.  Rank and closure come from one echelon
+basis of the columns: its length is the rank, and a column lies in the
+closure when it reduces to 0 against it.  A flat of rank r is the closure
+of an independent set of size r.  A contraction reduces the columns against
+those it contracts, a deletion re-echelons the rows of the columns left.
+The reduced rows are the fundamental cocircuits of the lex-first basis, and
+connectivity and the Tutte polynomial read them directly.
 """
 
 from __future__ import annotations
@@ -46,66 +45,40 @@ class CorankTooLarge(MatroidError):
 
 
 class CircuitSpaceTooLarge(MatroidError):
-    """Null space or row space too large to enumerate (corank or rank above
-    the hard bound)."""
+    """Null space too large to enumerate (corank above the hard bound; for
+    cocircuits, the corank of the dual, which is the rank)."""
 
 
-# circuits walk the 2^(n-k) null-space vectors and cocircuits the 2^k
-# row-space vectors; both refuse a space of dimension beyond this
+# circuits walk the 2^(n-k) null-space vectors, and cocircuits those of the
+# dual, 2^k; both refuse a space of dimension beyond this
 _MAX_SPACE_DIMENSION = 20
 
 
-def _space_vectors(basis: Sequence[int], space: str) -> set[int]:
-    """Every vector spanned by the independent basis; CircuitSpaceTooLarge
-    when there are more than 2^_MAX_SPACE_DIMENSION of them."""
-    if len(basis) > _MAX_SPACE_DIMENSION:
-        raise CircuitSpaceTooLarge(
-            f"{space} has 2^{len(basis)} vectors; bound is 2^{_MAX_SPACE_DIMENSION}"
-        )
-    return span_labels(basis)
-
-
-def _minimal_supports(vectors: Iterable[int], max_weight: int) -> list[int]:
-    """Inclusion-minimal nonzero bitmasks among the given ones.
-
-    Masks heavier than max_weight are discarded up front; callers pass the
-    matroid-theoretic bound (k+1 for circuits, n-k+1 for cocircuits), which
-    no minimal support can exceed.
-    """
-    pool = sorted(
-        {v for v in vectors if v and bin(v).count("1") <= max_weight},
-        key=lambda v: (bin(v).count("1"), v),
-    )
-    minimal: list[int] = []
-    for s in pool:
-        if not any(m & s == m for m in minimal):
-            minimal.append(s)
-    return minimal
-
-
 class BinaryMatroid:
-    """Column matroid of a full-row-rank GF(2) matrix.
+    """Column matroid of bitmask columns over rank rows that span GF(2)^rank.
 
     ground holds the element labels, strictly increasing, one per column.
     Minors keep the labels of the parent they came from, so an element keeps
     its identity through contraction and deletion.
     """
 
-    def __init__(self, matrix: Gf2Matrix, ground: tuple[int, ...] | None = None):
+    def __init__(
+        self, columns: Sequence[int], rank: int, ground: tuple[int, ...] | None = None
+    ):
         if ground is None:
-            ground = tuple(range(1, matrix.ncols + 1))
-        if len(ground) != matrix.ncols:
+            ground = tuple(range(1, len(columns) + 1))
+        if len(ground) != len(columns):
             raise ValueError("ground size must match the column count")
         if any(a >= b for a, b in zip(ground, ground[1:])):
             raise ValueError("ground labels must be strictly increasing")
-        reduced = matrix.rref()
+        reduced = Gf2Matrix.from_columns(columns, rank).rref()
         if not all(reduced.rows):
-            raise ValueError("matrix rows must be linearly independent")
+            raise ValueError("columns must span GF(2)^rank")
         # each row of the reduced matrix is the fundamental cocircuit of its
         # pivot with respect to the basis of all pivots, the lex-first one
         self.reduced = reduced
         self.ground = ground
-        self._columns = dict(zip(ground, matrix.columns()))
+        self._columns = dict(zip(ground, columns))
 
     @property
     def rank(self) -> int:
@@ -130,19 +103,32 @@ class BinaryMatroid:
     # -- circuits and cocircuits ------------------------------------------
 
     @cached_property
-    def cocircuits(self) -> frozenset[frozenset[int]]:
-        """Minimal nonzero supports of the row space."""
-        masks = _minimal_supports(
-            _space_vectors(self.reduced.rows, "row space"), self.size - self.rank + 1
+    def circuits(self) -> frozenset[frozenset[int]]:
+        """Minimal nonzero supports of the null space.
+
+        Supports heavier than rank + 1, which no circuit can exceed, are
+        discarded up front; the rest are sorted by weight, so each comes
+        after every support it contains.
+        """
+        null = nullspace_of_reduced(self.reduced).rows
+        if len(null) > _MAX_SPACE_DIMENSION:
+            raise CircuitSpaceTooLarge(
+                f"null space has 2^{len(null)} vectors; bound is 2^{_MAX_SPACE_DIMENSION}"
+            )
+        pool = sorted(
+            (v for v in span_labels(null) if v and bin(v).count("1") <= self.rank + 1),
+            key=lambda v: (bin(v).count("1"), v),
         )
-        return frozenset(self._mask_to_subset(m) for m in masks)
+        minimal: list[int] = []
+        for v in pool:
+            if not any(m & v == m for m in minimal):
+                minimal.append(v)
+        return frozenset(self._mask_to_subset(m) for m in minimal)
 
     @cached_property
-    def circuits(self) -> frozenset[frozenset[int]]:
-        """Minimal nonzero supports of the null space."""
-        null = nullspace_of_reduced(self.reduced).rows
-        masks = _minimal_supports(_space_vectors(null, "null space"), self.rank + 1)
-        return frozenset(self._mask_to_subset(m) for m in masks)
+    def cocircuits(self) -> frozenset[frozenset[int]]:
+        """The circuits of the dual."""
+        return self.dual().circuits
 
     def hyperplanes(self) -> frozenset[frozenset[int]]:
         whole = frozenset(self.ground)
@@ -202,13 +188,11 @@ class BinaryMatroid:
             if col:
                 classes.setdefault(col, []).append(e)
         survivors = sorted(min(members) for members in classes.values())
-        matrix = Gf2Matrix.from_columns(
-            [self.column_of(e) for e in survivors], self.rank
-        )
+        columns = [self.column_of(e) for e in survivors]
         mapping = {
             min(members): frozenset(members) for members in classes.values()
         }
-        return BinaryMatroid(matrix, tuple(survivors)), mapping
+        return BinaryMatroid(columns, self.rank, tuple(survivors)), mapping
 
     # -- minors and duality ------------------------------------------------
 
@@ -238,10 +222,8 @@ class BinaryMatroid:
             cols = {f: d ^ c if d & bit else d for f, d in cols.items()}
             claimed |= bit
         dropped = [i for i in range(self.rank) if (claimed >> i) & 1]
-        matrix = Gf2Matrix.from_columns(
-            [_drop_bits(c, dropped) for c in cols.values()], self.rank - len(todo)
-        )
-        return BinaryMatroid(matrix, tuple(cols))
+        columns = [_drop_bits(c, dropped) for c in cols.values()]
+        return BinaryMatroid(columns, self.rank - len(todo), tuple(cols))
 
     def delete(self, subset: Iterable[int]) -> "BinaryMatroid":
         """Remove elements; the rows become an echelon basis of the row space
@@ -252,12 +234,15 @@ class BinaryMatroid:
         survivors = tuple(e for e in self.ground if e not in gone)
         cols = [self.column_of(e) for e in survivors]
         rows = echelon_basis(Gf2Matrix.from_columns(cols, self.rank).rows)
-        return BinaryMatroid(Gf2Matrix(rows, len(survivors)), survivors)
+        return BinaryMatroid(
+            Gf2Matrix(rows, len(survivors)).columns(), len(rows), survivors
+        )
 
     def dual(self) -> "BinaryMatroid":
         """Matroid of the orthogonal complement, on the same ground set,
         read off the reduced matrix."""
-        return BinaryMatroid(nullspace_of_reduced(self.reduced), self.ground)
+        null = nullspace_of_reduced(self.reduced)
+        return BinaryMatroid(null.columns(), null.nrows, self.ground)
 
     # -- connectivity -------------------------------------------------------
 

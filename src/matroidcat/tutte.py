@@ -16,7 +16,7 @@ the ``tutte=`` field of ``CatalogueEntry``.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .gf2 import Gf2Matrix, NotInSpan, echelon_basis, reduce_bits, solve_in_basis
 from .matroid import BinaryMatroid
@@ -29,7 +29,8 @@ class TuttePolynomial(NamedTuple("TuttePolynomial", [("grid", tuple)])):
 
     __slots__ = ()
 
-    def __new__(cls, grid: tuple[tuple[int, ...], ...]) -> "TuttePolynomial":
+    def __new__(cls, grid: Iterable[Iterable[int]]) -> "TuttePolynomial":
+        grid = tuple(tuple(row) for row in grid)
         if not grid or any(len(row) != len(grid[0]) for row in grid):
             raise ValueError("grid must be rectangular and non-empty")
         if any(c < 0 for row in grid for c in row):
@@ -62,7 +63,7 @@ class TuttePolynomial(NamedTuple("TuttePolynomial", [("grid", tuple)])):
         return acc
 
     def transpose(self) -> "TuttePolynomial":
-        return TuttePolynomial(tuple(zip(*self.grid)))
+        return TuttePolynomial(zip(*self.grid))
 
 
 def _grid_from_counts(
@@ -71,7 +72,7 @@ def _grid_from_counts(
     grid = [[0] * (corank + 1) for _ in range(k + 1)]
     for (i, j), c in counts.items():
         grid[i][j] += c
-    return TuttePolynomial(tuple(tuple(row) for row in grid))
+    return TuttePolynomial(grid)
 
 
 def bases(m: BinaryMatroid) -> list[frozenset[int]]:
@@ -195,7 +196,7 @@ def tutte_by_activities(m: BinaryMatroid) -> TuttePolynomial:
         walk(0, list(m.reduced.rows), 0, 0)
     else:
         grid[0][n] = 1
-    return TuttePolynomial(tuple(tuple(row) for row in grid))
+    return TuttePolynomial(grid)
 
 
 def tutte_by_deletion_contraction(m: BinaryMatroid) -> TuttePolynomial:

@@ -98,7 +98,7 @@ def packed(rows: list[list[int]]) -> Gf2Matrix:
 
 
 def matroid(rows: list[list[int]]) -> BinaryMatroid:
-    return BinaryMatroid(packed(rows))
+    return BinaryMatroid(packed(rows).columns(), len(rows))
 
 
 def reference_cases() -> list[BinaryMatroid]:

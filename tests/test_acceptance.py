@@ -28,7 +28,6 @@ from conftest import (
 )
 from matroidcat.catalogue import main, matroid_of_labels, run_generate
 from matroidcat.enumeration import generate
-from matroidcat.gf2 import Gf2Matrix
 from matroidcat.matroid import BinaryMatroid
 from matroidcat.regularity import is_fano, is_regular
 from matroidcat.tutte import (
@@ -212,7 +211,7 @@ def test_criterion_9_regularity_oracle():
             "F7": (matroid(FANO_ROWS), False),
             "F7*": (matroid(FANO_DUAL_ROWS), False),
             "M(K5)": (cycle_matroid_of_complete_graph(5), True),
-            "M*(K3,3)": (BinaryMatroid(Gf2Matrix.from_columns(k33, 5)).dual(), True),
+            "M*(K3,3)": (BinaryMatroid(k33, 5).dual(), True),
             "R10": (matroid_of_labels(R10_LABELS, 5), True),
         }
         for name, (m, regular) in anchors.items():

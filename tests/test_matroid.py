@@ -22,7 +22,7 @@ from conftest import (
 )
 from matroidcat.catalogue import matroid_of_labels
 from matroidcat.enumeration import canonical_form, generate
-from matroidcat.gf2 import Gf2Matrix, nullspace_of_reduced, span_labels
+from matroidcat.gf2 import Gf2Matrix, nullspace_of_reduced, rank_of_labels, span_labels
 from matroidcat.matroid import (
     BinaryMatroid,
     CircuitSpaceTooLarge,
@@ -40,7 +40,34 @@ def columns_of(m):
 
 def test_rejects_rank_deficient_matrix():
     with pytest.raises(ValueError):
-        BinaryMatroid(Gf2Matrix([0b11, 0b11], 2))
+        BinaryMatroid([0b11, 0b11], 2)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_constructor_keeps_its_columns(data):
+    k = data.draw(st.integers(0, 5))
+    n = data.draw(st.integers(k, 10))
+    columns = data.draw(
+        st.lists(st.integers(0, (1 << k) - 1), min_size=n, max_size=n)
+    )
+    assume(rank_of_labels(columns) == k)
+    ground = tuple(
+        sorted(data.draw(st.sets(st.integers(-20, 20), min_size=n, max_size=n)))
+    )
+    m = BinaryMatroid(columns, k, ground)
+    assert [m.column_of(e) for e in ground] == columns
+    assert m.reduced.rows == Gf2Matrix.from_columns(columns, k).rref().rows
+    assert BinaryMatroid(columns, k).ground == tuple(range(1, n + 1))
+    with pytest.raises(ValueError, match="does not fit"):
+        BinaryMatroid(columns + [1 << k], k)
+    with pytest.raises(ValueError, match="span"):
+        BinaryMatroid(columns, k + 1)
+    with pytest.raises(ValueError, match="ground size"):
+        BinaryMatroid(columns, k, ground + (21,))
+    if n >= 2:
+        with pytest.raises(ValueError, match="increasing"):
+            BinaryMatroid(columns, k, ground[::-1])
 
 
 def test_ground_defaults_to_one_through_n(fano):
@@ -60,6 +87,20 @@ def test_cocircuits_parallel_pair():
 def test_cocircuits_fano(fano):
     assert len(fano.cocircuits) == 7
     assert all(len(d) == 4 for d in fano.cocircuits)
+
+
+@settings(max_examples=200)
+@given(binary_matroids())
+def test_cocircuits_are_the_minimal_supports_of_the_row_space(m):
+    # the row-space definition, which cocircuits are not computed by; in
+    # order of weight, a support comes before every support containing it
+    minimal = []
+    for v in sorted(span_labels(m.reduced.rows) - {0}, key=int.bit_count):
+        if not any(u & v == u for u in minimal):
+            minimal.append(v)
+    assert m.cocircuits == {
+        frozenset(e for i, e in enumerate(m.ground) if v >> i & 1) for v in minimal
+    }
 
 
 def test_circuits_free_matroid_has_none():
@@ -180,11 +221,11 @@ def test_closure_by_reduction_matches_span_closure():
 
 
 def test_circuit_spaces_beyond_the_bound_are_refused():
-    # circuits walk all 2^corank null-space vectors, cocircuits all 2^rank
-    # row-space vectors; one bound, 2^20, refuses both at dimension 21
+    # circuits walk all 2^corank null-space vectors, cocircuits those of the
+    # dual, 2^rank; one bound, 2^20, refuses both at dimension 21
     with pytest.raises(CircuitSpaceTooLarge, match="null space"):
         matroid_of_labels([1] * 22, 1).circuits
-    with pytest.raises(CircuitSpaceTooLarge, match="row space"):
+    with pytest.raises(CircuitSpaceTooLarge, match="null space"):
         matroid_of_labels([1 << i for i in range(21)], 21).cocircuits
 
 
@@ -361,10 +402,10 @@ def test_is_connected():
     assert not matroid_of_labels([1, 2], 2).is_connected()
     assert matroid(FANO_ROWS).is_connected()
     # one element: connected iff it is not a loop
-    assert BinaryMatroid(Gf2Matrix([1], 1)).is_connected()
-    assert not BinaryMatroid(Gf2Matrix([], 1)).is_connected()
+    assert BinaryMatroid([1], 1).is_connected()
+    assert not BinaryMatroid([0], 0).is_connected()
     # the empty matroid is not connected
-    assert not BinaryMatroid(Gf2Matrix([], 0)).is_connected()
+    assert not BinaryMatroid([], 0).is_connected()
 
 
 def test_is_connected_with_coloop(polygon):

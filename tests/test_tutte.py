@@ -17,7 +17,7 @@ from conftest import (
     reference_cases,
 )
 from matroidcat.catalogue import matroid_of_labels
-from matroidcat.gf2 import Gf2Matrix, NotInSpan
+from matroidcat.gf2 import NotInSpan
 from matroidcat.matroid import BinaryMatroid
 from matroidcat.tutte import (
     TuttePolynomial,
@@ -34,7 +34,7 @@ from matroidcat.tutte import (
 
 PARALLEL_PAIR = matroid_of_labels([1, 1], 1)
 SINGLE_COLOOP = matroid_of_labels([1], 1)
-SINGLE_LOOP = BinaryMatroid(Gf2Matrix([], 1))
+SINGLE_LOOP = BinaryMatroid([0], 0)
 
 R10 = matroid_of_labels(R10_LABELS, 5)
 
@@ -240,7 +240,7 @@ def test_relabelling_leaves_polynomial_invariant(polygon):
     cols = [polygon.column_of(e) for e in polygon.ground]
     for _ in range(5):
         rng.shuffle(cols)
-        shuffled = BinaryMatroid(Gf2Matrix.from_columns(cols, polygon.rank))
+        shuffled = BinaryMatroid(cols, polygon.rank)
         assert tutte_by_activities(shuffled).grid == reference
 
 
@@ -249,6 +249,15 @@ def test_grid_validation():
         TuttePolynomial(((0, 1), (1,)))  # ragged
     with pytest.raises(ValueError):
         TuttePolynomial(((0, -1),))
+
+
+def test_grid_given_as_lists_is_kept_as_tuples():
+    t = TuttePolynomial([[0, 1], [1, 0]])
+    assert t.grid == ((0, 1), (1, 0))
+    assert t == TuttePolynomial(((0, 1), (1, 0)))
+    assert hash(t) == hash(TuttePolynomial(((0, 1), (1, 0))))
+    with pytest.raises(TypeError):
+        t.grid[0][0] = 9
 
 
 def test_make_and_replace_check_the_grid():
@@ -271,7 +280,7 @@ def test_polynomial_accessors():
 
 def test_loops_and_coloops_mix():
     # one coloop and two loops: T = x * y^2
-    m = BinaryMatroid(Gf2Matrix([0b010], 3))
+    m = BinaryMatroid([0, 1, 0], 1)
     t = tutte_by_activities(m)
     assert t.evaluate(2, 3) == 2 * 9
     assert t.grid == tutte_by_deletion_contraction(m).grid
