@@ -29,13 +29,10 @@ from .matroid import (
     CorankTooLarge,
     DependentContractionSet,
 )
-from .regularity import FanoWitness, is_fano, is_fano_dual, is_regular
+from .regularity import FanoWitness, is_regular
 from .tutte import (
     TuttePolynomial,
-    bases,
-    external_activity,
     fundamental_circuit,
-    internal_activity,
     tutte_by_activities,
     tutte_by_deletion_contraction,
 )
@@ -56,14 +53,9 @@ __all__ = [
     "ResourceGuard",
     "TuttePolynomial",
     "UnwritableOutput",
-    "bases",
-    "external_activity",
     "fundamental_circuit",
     "generate",
-    "internal_activity",
     "is_canonical",
-    "is_fano",
-    "is_fano_dual",
     "is_regular",
     "label_vector_of",
     "lex_larger_witness",

@@ -6,14 +6,14 @@ columns, by label, and the reduced row echelon form of the k x n matrix
 they make, whose shape is the rank and size and which has no zero row
 exactly when the columns span.  Subsets of the ground set are plain
 ``frozenset[int]`` values.  Circuits are minimal supports of null-space
-vectors, cocircuits the circuits of the dual (the one space walk),
-hyperplanes their complements.  Rank and closure come from one echelon
-basis of the columns: its length is the rank, and a column lies in the
-closure when it reduces to 0 against it.  A flat of rank r is the closure
-of an independent set of size r.  A contraction reduces the columns against
-those it contracts, a deletion re-echelons the rows of the columns left.
-The reduced rows are the fundamental cocircuits of the lex-first basis, and
-connectivity and the Tutte polynomial read them directly.
+vectors, the one space walk; cocircuits are the circuits of the dual.
+Rank comes from an echelon basis of the columns: its length.  A flat of
+rank r is the closure of an independent set of size r, the elements whose
+columns reduce to 0 against that set's echelon basis.  A contraction
+reduces the columns against those it contracts, a deletion re-echelons the
+rows of the columns left.  The reduced rows are the fundamental cocircuits
+of the lex-first basis, and connectivity and the Tutte polynomial read them
+directly.
 """
 
 from __future__ import annotations
@@ -45,12 +45,11 @@ class CorankTooLarge(MatroidError):
 
 
 class CircuitSpaceTooLarge(MatroidError):
-    """Null space too large to enumerate (corank above the hard bound; for
-    cocircuits, the corank of the dual, which is the rank)."""
+    """Null space too large to enumerate (corank above the hard bound)."""
 
 
-# circuits walk the 2^(n-k) null-space vectors, and cocircuits those of the
-# dual, 2^k; both refuse a space of dimension beyond this
+# circuits walk the 2^(n-k) null-space vectors and refuse a space of
+# dimension beyond this
 _MAX_SPACE_DIMENSION = 20
 
 
@@ -100,7 +99,7 @@ class BinaryMatroid:
     def __repr__(self) -> str:
         return f"BinaryMatroid(rank={self.rank}, size={self.size}, ground={self.ground})"
 
-    # -- circuits and cocircuits ------------------------------------------
+    # -- circuits, flats and rank -------------------------------------------
 
     @cached_property
     def circuits(self) -> frozenset[frozenset[int]]:
@@ -125,15 +124,6 @@ class BinaryMatroid:
                 minimal.append(v)
         return frozenset(self._mask_to_subset(m) for m in minimal)
 
-    @cached_property
-    def cocircuits(self) -> frozenset[frozenset[int]]:
-        """The circuits of the dual."""
-        return self.dual().circuits
-
-    def hyperplanes(self) -> frozenset[frozenset[int]]:
-        whole = frozenset(self.ground)
-        return frozenset(whole - d for d in self.cocircuits)
-
     def flats_of_corank(self, c: int) -> frozenset[frozenset[int]]:
         """Flats of rank (rank - c): the closures of the independent sets of
         that size.  An independent set holds no loop and at most one element
@@ -144,55 +134,22 @@ class BinaryMatroid:
         if c > self.rank:
             raise CorankTooLarge(f"corank {c} exceeds rank {self.rank}")
         size = self.rank - c
+        items = self._columns.items()
         distinct = sorted(set(self._columns.values()) - {0})
         flats = set()
         for s in combinations(distinct, size):
             echelon = echelon_basis(s)
             if len(echelon) == size:
-                flats.add(self._spanned_by(echelon))
+                # the closure of s: the elements whose columns reduce to 0
+                flats.add(frozenset(e for e, v in items if not reduce_bits(v, echelon)))
         return frozenset(flats)
 
-    # -- closure, rank, simplification ------------------------------------
-
-    def _columns_in(self, subset: Iterable[int]) -> list[int]:
+    def rank_of(self, subset: Iterable[int]) -> int:
         try:
-            return [self._columns[e] for e in subset]
+            columns = [self._columns[e] for e in subset]
         except KeyError:
             raise ValueError("subset must lie inside the ground set") from None
-
-    def rank_of(self, subset: Iterable[int]) -> int:
-        return rank_of_labels(self._columns_in(subset))
-
-    def closure(self, subset: Iterable[int]) -> frozenset[int]:
-        """All elements whose columns lie in the span of the subset's columns."""
-        return self._spanned_by(echelon_basis(self._columns_in(subset)))
-
-    def _spanned_by(self, echelon: list[int]) -> frozenset[int]:
-        """Elements whose columns reduce to 0 against an echelon basis."""
-        return frozenset(
-            e for e, col in self._columns.items() if not reduce_bits(col, echelon)
-        )
-
-    def loops(self) -> frozenset[int]:
-        return frozenset(e for e in self.ground if self.column_of(e) == 0)
-
-    def simplify(self) -> tuple["BinaryMatroid", dict[int, frozenset[int]]]:
-        """Drop loops and merge parallel classes onto their smallest label.
-
-        Returns the simple matroid plus a map from each surviving element to
-        its full parallel class in self.
-        """
-        classes: dict[int, list[int]] = {}
-        for e in self.ground:
-            col = self.column_of(e)
-            if col:
-                classes.setdefault(col, []).append(e)
-        survivors = sorted(min(members) for members in classes.values())
-        columns = [self.column_of(e) for e in survivors]
-        mapping = {
-            min(members): frozenset(members) for members in classes.values()
-        }
-        return BinaryMatroid(columns, self.rank, tuple(survivors)), mapping
+        return rank_of_labels(columns)
 
     # -- minors and duality ------------------------------------------------
 

@@ -6,7 +6,8 @@ dual.  No minor is built: si(M/F) is the set of nonzero residues of the
 columns against an echelon basis of F's columns, and the zero residues are
 F itself.  Seven such points at rank 3 are all of PG(2, 2), the Fano
 plane; seven at rank 4 with none the XOR of two others (no three on a line)
-are the dual Fano plane.
+are the dual Fano plane.  The tests check each witness on the built minor,
+with recognizers of both planes kept in ``tests/conftest.py``.
 
 A corank is only walked when it can hold a flat with seven survivors.  A
 flat of corank c has rank (rank - c), hence at least that many elements, so
@@ -31,21 +32,6 @@ class FanoWitness(NamedTuple):
 
     flat: frozenset[int]
     kind: Literal["fano", "fano-dual"]
-
-
-def is_fano(m: BinaryMatroid) -> bool:
-    """True iff the columns are exactly the seven nonzero vectors of GF(2)^3."""
-    if m.rank != 3 or m.size != 7:
-        return False
-    return {m.column_of(e) for e in m.ground} == set(range(1, 8))
-
-
-def is_fano_dual(m: BinaryMatroid) -> bool:
-    """True iff m is the dual of the Fano plane (rank 4 on 7 elements)."""
-    if m.rank != 4 or m.size != 7:
-        return False
-    simplified, _ = m.dual().simplify()
-    return is_fano(simplified)
 
 
 def is_regular(m: BinaryMatroid) -> tuple[bool, FanoWitness | None]:

@@ -5,20 +5,21 @@ non-basis elements that are the maximum of their fundamental circuit and
 i(B) counts basis elements that are the maximum of their fundamental
 cocircuit.  It walks the bases depth first, pivoting the matroid's reduced
 matrix on each element it picks, and counts both activities on the way down.
-``bases``, ``fundamental_circuit``, ``external_activity`` and
-``internal_activity`` keep the definitions one basis at a time, for
-reference.  A memoized deletion/contraction recursion provides an
-independent second opinion; the two must agree coefficient for coefficient.
+``fundamental_circuit`` solves for the circuit of one element over one
+basis.  A memoized deletion/contraction recursion provides an independent
+second opinion; the two must agree coefficient for coefficient.  The
+definitions one basis at a time (the bases, the activities and the subset
+counts that T(2, 1) and T(1, 2) give) are test references, in
+``tests/conftest.py``.
 ``TuttePolynomial`` holds only the coefficient grid; listings write it in
 the ``tutte=`` field of ``CatalogueEntry``.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .gf2 import Gf2Matrix, NotInSpan, echelon_basis, reduce_bits, solve_in_basis
+from .gf2 import Gf2Matrix, NotInSpan, echelon_basis, solve_in_basis
 from .matroid import BinaryMatroid
 
 
@@ -31,7 +32,7 @@ class TuttePolynomial(NamedTuple("TuttePolynomial", [("grid", tuple)])):
 
     def __new__(cls, grid: Iterable[Iterable[int]]) -> "TuttePolynomial":
         grid = tuple(tuple(row) for row in grid)
-        if not grid or any(len(row) != len(grid[0]) for row in grid):
+        if not grid or not grid[0] or any(len(row) != len(grid[0]) for row in grid):
             raise ValueError("grid must be rectangular and non-empty")
         if any(c < 0 for row in grid for c in row):
             raise ValueError("coefficients count bases; they cannot be negative")
@@ -75,15 +76,6 @@ def _grid_from_counts(
     return TuttePolynomial(grid)
 
 
-def bases(m: BinaryMatroid) -> list[frozenset[int]]:
-    """All bases, in lexicographic order of their sorted element lists."""
-    return [
-        frozenset(s)
-        for s in combinations(m.ground, m.rank)
-        if m.rank_of(s) == m.rank
-    ]
-
-
 def _check_basis(m: BinaryMatroid, basis: frozenset[int]) -> None:
     """ValueError unless basis lies inside the ground set and is independent,
     NotInSpan unless it spans."""
@@ -98,8 +90,9 @@ def fundamental_circuit(
     m: BinaryMatroid, basis: frozenset[int], x: int
 ) -> frozenset[int]:
     """The unique circuit inside basis + {x}; contains x.  Raises ValueError
-    unless x is an element outside the basis, and what external_activity
-    raises for basis unless it is a basis."""
+    unless x is an element outside the basis or if the basis is dependent or
+    not inside the ground set, and NotInSpan if it is independent but does
+    not span."""
     _check_basis(m, basis)
     if x in basis or x not in m.ground:
         raise ValueError(f"{x} must lie inside the ground set, outside the basis")
@@ -109,47 +102,15 @@ def fundamental_circuit(
     return frozenset({x} | {e for i, e in enumerate(ordered) if coeffs >> i & 1})
 
 
-def external_activity(m: BinaryMatroid, basis: frozenset[int]) -> int:
-    """Count non-basis elements that top their fundamental circuit.
-
-    That circuit is x plus the unique representation of x in the basis, so x
-    tops it exactly when its column lies in the span of the basis elements
-    below x.  One pass in label order reduces each column against the basis
-    elements already passed.  Raises ValueError if the set is dependent or
-    not inside the ground set, and NotInSpan if it is independent but does
-    not span.
-    """
-    _check_basis(m, basis)
-    echelon: list[int] = []
-    count = 0
-    for x in m.ground:
-        residue = reduce_bits(m.column_of(x), echelon)
-        if x in basis:
-            echelon.append(residue)
-            echelon.sort(reverse=True)
-        elif not residue:
-            count += 1
-    return count
-
-
-def internal_activity(m: BinaryMatroid, basis: frozenset[int]) -> int:
-    """Count basis elements that top their fundamental cocircuit.
-
-    Computed as the external activity of the complementary basis in the dual
-    matroid.  Raises what external_activity raises for basis itself.
-    """
-    _check_basis(m, basis)
-    return external_activity(m.dual(), frozenset(m.ground) - basis)
-
-
 def tutte_by_activities(m: BinaryMatroid) -> TuttePolynomial:
     """Sum x^internal y^external over all bases, in one walk over them.
 
-    The walk picks basis elements in label order, as ``bases`` lists them,
-    starting from m's reduced matrix.  The rows not yet pivoted stay reduced
-    on the picks so far, so an element is independent of them iff some of
-    those free rows has its bit, and picking it XORs one free row into the
-    others that have the bit.  An element passed over while it depends on
+    The walk picks basis elements in label order, so it meets the bases in
+    lexicographic order of their sorted element lists, starting from m's
+    reduced matrix.  The rows not yet pivoted stay reduced on the picks so
+    far, so an element is independent of them iff some of those free rows
+    has its bit, and picking it XORs one free row into the others that have
+    the bit.  An element passed over while it depends on
     the picks tops its fundamental circuit, so it is externally active; so
     is every element after the last pick.  Passing over an independent
     element is allowed while the picks and the later elements still span,
@@ -240,34 +201,3 @@ def tutte_by_deletion_contraction(m: BinaryMatroid) -> TuttePolynomial:
         return result
 
     return _grid_from_counts(recurse(m), m.rank, m.size - m.rank)
-
-
-def count_independent_sets(m: BinaryMatroid) -> int:
-    """Direct subset enumeration; cross-checks evaluate(T, 2, 1)."""
-    cols = [m.column_of(e) for e in m.ground]
-    count = 0
-
-    def walk(idx: int, pivots: list[int]) -> None:
-        nonlocal count
-        count += 1
-        for nxt in range(idx, len(cols)):
-            c = reduce_bits(cols[nxt], pivots)
-            if c:
-                pivots.append(c)
-                pivots.sort(reverse=True)
-                walk(nxt + 1, pivots)
-                pivots.remove(c)
-
-    walk(0, [])
-    return count
-
-
-def count_spanning_sets(m: BinaryMatroid) -> int:
-    """Direct subset enumeration; cross-checks evaluate(T, 1, 2)."""
-    n = m.size
-    count = 0
-    for mask in range(1 << n):
-        subset = [m.ground[i] for i in range(n) if (mask >> i) & 1]
-        if m.rank_of(subset) == m.rank:
-            count += 1
-    return count

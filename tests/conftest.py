@@ -16,6 +16,7 @@ from matroidcat.catalogue import matroid_of_labels
 from matroidcat.enumeration import generate
 from matroidcat.gf2 import Gf2Matrix, rank_of_labels, transform_bits
 from matroidcat.matroid import BinaryMatroid
+from matroidcat.tutte import fundamental_circuit
 
 # every property test draws the same examples on every run, with no stored
 # failures replayed and no time limit per example
@@ -313,6 +314,76 @@ def is_regular_by_camion(m: BinaryMatroid) -> bool:
     free = [1 << j for j in range(m.size) if 1 << j not in pivots]
     a_rows = [sum(1 << i for i, bit in enumerate(free) if r & bit) for r in rows]
     return is_totally_unimodular(camion_signing(a_rows, len(free)))
+
+
+def simplify(m: BinaryMatroid) -> tuple[BinaryMatroid, dict[int, frozenset[int]]]:
+    """Drop loops and merge parallel classes onto their smallest label.
+
+    Returns the simple matroid plus a map from each surviving element to its
+    full parallel class in m.
+    """
+    classes: dict[int, list[int]] = {}
+    for e in m.ground:
+        col = m.column_of(e)
+        if col:
+            classes.setdefault(col, []).append(e)
+    survivors = sorted(min(members) for members in classes.values())
+    columns = [m.column_of(e) for e in survivors]
+    mapping = {min(members): frozenset(members) for members in classes.values()}
+    return BinaryMatroid(columns, m.rank, tuple(survivors)), mapping
+
+
+def is_fano(m: BinaryMatroid) -> bool:
+    """True iff the columns are exactly the seven nonzero vectors of GF(2)^3."""
+    if m.rank != 3 or m.size != 7:
+        return False
+    return {m.column_of(e) for e in m.ground} == set(range(1, 8))
+
+
+def is_fano_dual(m: BinaryMatroid) -> bool:
+    """True iff m is the dual of the Fano plane (rank 4 on 7 elements)."""
+    return m.rank == 4 and m.size == 7 and is_fano(simplify(m.dual())[0])
+
+
+def bases(m: BinaryMatroid) -> list[frozenset[int]]:
+    """All bases, in lexicographic order of their sorted element lists."""
+    return [
+        frozenset(s)
+        for s in itertools.combinations(m.ground, m.rank)
+        if m.rank_of(s) == m.rank
+    ]
+
+
+def external_activity(m: BinaryMatroid, basis: frozenset[int]) -> int:
+    """Non-basis elements that are the maximum of their fundamental circuit,
+    each circuit solved for on its own."""
+    return sum(
+        1
+        for x in m.ground
+        if x not in basis and x == max(fundamental_circuit(m, basis, x))
+    )
+
+
+def internal_activity(m: BinaryMatroid, basis: frozenset[int]) -> int:
+    """Basis elements that are the maximum of their fundamental cocircuit:
+    the external activity of the complementary basis in the dual."""
+    return external_activity(m.dual(), frozenset(m.ground) - basis)
+
+
+def _subsets(m: BinaryMatroid) -> Iterator[tuple[int, ...]]:
+    return itertools.chain.from_iterable(
+        itertools.combinations(m.ground, size) for size in range(m.size + 1)
+    )
+
+
+def count_independent_sets(m: BinaryMatroid) -> int:
+    """Direct subset enumeration; cross-checks evaluate(T, 2, 1)."""
+    return sum(m.rank_of(s) == len(s) for s in _subsets(m))
+
+
+def count_spanning_sets(m: BinaryMatroid) -> int:
+    """Direct subset enumeration; cross-checks evaluate(T, 1, 2)."""
+    return sum(m.rank_of(s) == m.rank for s in _subsets(m))
 
 
 @pytest.fixture

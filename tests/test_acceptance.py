@@ -20,23 +20,22 @@ from conftest import (
     POLYGON_CIRCUITS,
     POLYGON_ROWS,
     R10_LABELS,
+    bases,
+    count_independent_sets,
+    count_spanning_sets,
     cycle_matroid_of_complete_graph,
+    is_fano,
     is_regular_by_camion,
     matroid,
     orbit_count,
     packed,
+    simplify,
 )
 from matroidcat.catalogue import main, matroid_of_labels, run_generate
 from matroidcat.enumeration import generate
 from matroidcat.matroid import BinaryMatroid
-from matroidcat.regularity import is_fano, is_regular
-from matroidcat.tutte import (
-    bases,
-    count_independent_sets,
-    count_spanning_sets,
-    tutte_by_activities,
-    tutte_by_deletion_contraction,
-)
+from matroidcat.regularity import is_regular
+from matroidcat.tutte import tutte_by_activities, tutte_by_deletion_contraction
 
 
 @contextmanager
@@ -99,7 +98,7 @@ def test_criterion_2_contraction_regression():
         for e, column in zip(CONTRACTED_COLUMN_ORDER, block.columns()):
             assert minor.column_of(e) == column
         assert [minor.column_of(e) for e in (1, 4, 5)] == [1, 2, 4]
-        assert is_fano(minor.simplify()[0])
+        assert is_fano(simplify(minor)[0])
         assert is_regular(m)[0] is False
     print()
 

@@ -60,3 +60,22 @@ def test_default_run_totals_its_modules(capsys):
     assert set(counts) >= {"__init__.py", "enumeration.py", "catalogue.py"}
     assert all(re.fullmatch(r"\w+\.py", name) for name in counts)
     assert total == sum(counts.values())
+
+
+def test_several_directories_print_one_grand_total(capsys):
+    root = TOOL.parent.parent
+    dirs = [str(root / "src" / "matroidcat"), str(root / "tests")]
+    tables = []
+    for argv in ([dirs[0]], [dirs[1]], dirs):
+        assert code_lines.main(argv) == 0
+        rows = [line.rsplit(None, 1) for line in capsys.readouterr().out.splitlines()]
+        tables.append([(name, int(n.replace(",", ""))) for name, n in rows])
+    package, tests, both = tables
+    # the modules of each directory, under their paths, then one total
+    assert [name for name, _ in both[:-1]] == [
+        str(Path(d) / name)
+        for d, table in zip(dirs, (package, tests))
+        for name, _ in table[:-1]
+    ]
+    assert [n for _, n in both[:-1]] == [n for _, n in package[:-1] + tests[:-1]]
+    assert both[-1] == ("total", package[-1][1] + tests[-1][1])

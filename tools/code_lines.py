@@ -3,10 +3,12 @@
 A line holds code when some token on it is neither a comment nor a line
 break; lines that belong to a docstring (the string that opens a module,
 class or function body) do not count.  With no argument the script counts
-``src/matroidcat`` beside it:
+``src/matroidcat`` beside it.  Given several directories, it lists the
+modules of each under their paths and prints one grand total after them:
 
-    python3 tools/code_lines.py            # src/matroidcat
-    python3 tools/code_lines.py some/pkg   # any directory of modules
+    python3 tools/code_lines.py                       # src/matroidcat
+    python3 tools/code_lines.py some/pkg              # any directory of modules
+    python3 tools/code_lines.py src/matroidcat tests  # the package and its tests
 """
 
 from __future__ import annotations
@@ -47,13 +49,16 @@ def code_lines(source: str) -> int:
 
 
 def main(argv: list[str]) -> int:
-    package = Path(argv[0]) if argv else _DEFAULT_PACKAGE
-    total = 0
-    for path in sorted(package.glob("*.py")):
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{path.name:20} {count:6,}")
-    print(f"{'total':20} {total:6,}")
+    packages = [Path(arg) for arg in argv] or [_DEFAULT_PACKAGE]
+    counts = {}
+    for package in packages:
+        for path in sorted(package.glob("*.py")):
+            label = path.name if len(packages) == 1 else str(path)
+            counts[label] = code_lines(path.read_text())
+    width = max([20, *map(len, counts)])
+    for label, count in counts.items():
+        print(f"{label:{width}} {count:6,}")
+    print(f"{'total':{width}} {sum(counts.values()):6,}")
     return 0
 
 
