@@ -23,12 +23,7 @@ from .enumeration import (
     lex_larger_witness,
 )
 from .gf2 import Gf2Matrix, NotInSpan, solve_in_basis
-from .matroid import (
-    BinaryMatroid,
-    CircuitSpaceTooLarge,
-    CorankTooLarge,
-    DependentContractionSet,
-)
+from .matroid import BinaryMatroid, CircuitSpaceTooLarge, CorankTooLarge
 from .regularity import FanoWitness, is_regular
 from .tutte import (
     TuttePolynomial,
@@ -44,7 +39,6 @@ __all__ = [
     "CatalogueEntry",
     "CircuitSpaceTooLarge",
     "CorankTooLarge",
-    "DependentContractionSet",
     "FanoWitness",
     "Gf2Matrix",
     "InvalidShape",

@@ -292,7 +292,14 @@ def run_counts(
     """
     if max_k < 1 or max_n < 1:
         raise InvalidShape("table bounds must be at least 1")
-    _guard(max_k, max_n, force)
+    # no cell has a rank above its size, so the guard reads the largest rank
+    # that holds a cell; past MAX_SIZE a rank bound only adds rows of zeros,
+    # as many as it asks for
+    _guard(min(max_k, max_n), max_n, force)
+    if max_k > MAX_SIZE and not force:
+        raise ResourceGuard(
+            f"rank {max_k} exceeds every size <= {MAX_SIZE}; pass --force to override"
+        )
     if regular_only:
         cells = {
             (k, n): sum(1 for _ in _pipeline(k, n, matroid_class, True))

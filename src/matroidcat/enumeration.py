@@ -82,15 +82,11 @@ from typing import Iterable, Iterator, Sequence
 from .gf2 import echelon_basis, rank_of_labels, transform_bits
 
 
-class EnumerationError(Exception):
-    pass
-
-
-class InvalidShape(EnumerationError):
+class InvalidShape(Exception):
     """Rank/size combination out of range."""
 
 
-class LabelOutOfRange(EnumerationError):
+class LabelOutOfRange(Exception):
     """Label does not name a vector of GF(2)^k."""
 
 

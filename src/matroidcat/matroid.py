@@ -9,11 +9,11 @@ exactly when the columns span.  Subsets of the ground set are plain
 vectors, the one space walk; cocircuits are the circuits of the dual.
 Rank comes from an echelon basis of the columns: its length.  A flat of
 rank r is the closure of an independent set of size r, the elements whose
-columns reduce to 0 against that set's echelon basis.  A contraction
-reduces the columns against those it contracts, a deletion re-echelons the
-rows of the columns left.  The reduced rows are the fundamental cocircuits
-of the lex-first basis, and connectivity and the Tutte polynomial read them
-directly.
+columns reduce to 0 against that set's echelon basis.  The reduced rows
+are the fundamental cocircuits of the lex-first basis, and connectivity and
+the Tutte polynomial read them directly.  A matroid builds no minors: the
+deletion-contraction oracle in ``tutte`` recurses on bare rows, and
+contraction and deletion are test references, in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -32,19 +32,11 @@ from .gf2 import (
 )
 
 
-class MatroidError(Exception):
-    pass
-
-
-class DependentContractionSet(MatroidError):
-    """Contraction set is not independent."""
-
-
-class CorankTooLarge(MatroidError):
+class CorankTooLarge(Exception):
     """Requested flats of corank exceeding the matroid rank."""
 
 
-class CircuitSpaceTooLarge(MatroidError):
+class CircuitSpaceTooLarge(Exception):
     """Null space too large to enumerate (corank above the hard bound)."""
 
 
@@ -57,8 +49,6 @@ class BinaryMatroid:
     """Column matroid of bitmask columns over rank rows that span GF(2)^rank.
 
     ground holds the element labels, strictly increasing, one per column.
-    Minors keep the labels of the parent they came from, so an element keeps
-    its identity through contraction and deletion.
     """
 
     def __init__(
@@ -151,49 +141,7 @@ class BinaryMatroid:
             raise ValueError("subset must lie inside the ground set") from None
         return rank_of_labels(columns)
 
-    # -- minors and duality ------------------------------------------------
-
-    def contract_independent(self, subset: Iterable[int]) -> "BinaryMatroid":
-        """Contract an independent set by reducing the columns against its own.
-
-        Elements are processed in ascending label order.  Each one claims the
-        lowest row not yet claimed that holds a 1 in its current column, and
-        that column is added to every other remaining column with a 1 in the
-        row: this is the pivot there, up to the claimed rows, which are
-        dropped at the end with the contracted columns.
-        """
-        todo = frozenset(subset)
-        if not todo <= set(self.ground):
-            raise ValueError("contraction set must lie inside the ground set")
-        if self.rank_of(todo) != len(todo):
-            raise DependentContractionSet(f"{sorted(todo)} is dependent")
-        if not todo:
-            return self
-
-        cols = dict(self._columns)
-        claimed = 0  # bitmask of consumed rows
-        for e in sorted(todo):
-            c = cols.pop(e)
-            free = c & ~claimed
-            bit = free & -free  # lowest free row holding a 1
-            cols = {f: d ^ c if d & bit else d for f, d in cols.items()}
-            claimed |= bit
-        dropped = [i for i in range(self.rank) if (claimed >> i) & 1]
-        columns = [_drop_bits(c, dropped) for c in cols.values()]
-        return BinaryMatroid(columns, self.rank - len(todo), tuple(cols))
-
-    def delete(self, subset: Iterable[int]) -> "BinaryMatroid":
-        """Remove elements; the rows become an echelon basis of the row space
-        in case rank drops."""
-        gone = frozenset(subset)
-        if not gone <= set(self.ground):
-            raise ValueError("deletion set must lie inside the ground set")
-        survivors = tuple(e for e in self.ground if e not in gone)
-        cols = [self.column_of(e) for e in survivors]
-        rows = echelon_basis(Gf2Matrix.from_columns(cols, self.rank).rows)
-        return BinaryMatroid(
-            Gf2Matrix(rows, len(survivors)).columns(), len(rows), survivors
-        )
+    # -- duality ------------------------------------------------------------
 
     def dual(self) -> "BinaryMatroid":
         """Matroid of the orthogonal complement, on the same ground set,
@@ -230,16 +178,3 @@ class BinaryMatroid:
             pending = rest
         return reached == (1 << self.size) - 1
 
-
-def _drop_bits(row: int, positions: list[int]) -> int:
-    """Remove the given 0-based bit positions, compacting the rest down."""
-    out = 0
-    shift = 0
-    prev = 0
-    for p in positions:
-        width = p - prev
-        out |= ((row >> prev) & ((1 << width) - 1)) << shift
-        shift += width
-        prev = p + 1
-    out |= (row >> prev) << shift
-    return out

@@ -7,7 +7,9 @@ cocircuit.  It walks the bases depth first, pivoting the matroid's reduced
 matrix on each element it picks, and counts both activities on the way down.
 ``fundamental_circuit`` solves for the circuit of one element over one
 basis.  A memoized deletion/contraction recursion provides an independent
-second opinion; the two must agree coefficient for coefficient.  The
+second opinion; the two must agree coefficient for coefficient.  It
+recurses on bare GF(2) rows, starting from m's columns rather than its
+reduced matrix, and builds no matroid for its minors.  The
 definitions one basis at a time (the bases, the activities and the subset
 counts that T(2, 1) and T(1, 2) give) are test references, in
 ``tests/conftest.py``.
@@ -17,7 +19,7 @@ the ``tutte=`` field of ``CatalogueEntry``.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .gf2 import Gf2Matrix, NotInSpan, echelon_basis, solve_in_basis
 from .matroid import BinaryMatroid
@@ -65,15 +67,6 @@ class TuttePolynomial(NamedTuple("TuttePolynomial", [("grid", tuple)])):
 
     def transpose(self) -> "TuttePolynomial":
         return TuttePolynomial(zip(*self.grid))
-
-
-def _grid_from_counts(
-    counts: dict[tuple[int, int], int], k: int, corank: int
-) -> TuttePolynomial:
-    grid = [[0] * (corank + 1) for _ in range(k + 1)]
-    for (i, j), c in counts.items():
-        grid[i][j] += c
-    return TuttePolynomial(grid)
 
 
 def _check_basis(m: BinaryMatroid, basis: frozenset[int]) -> None:
@@ -161,43 +154,51 @@ def tutte_by_activities(m: BinaryMatroid) -> TuttePolynomial:
 
 
 def tutte_by_deletion_contraction(m: BinaryMatroid) -> TuttePolynomial:
-    """Independent evaluator: recurse on the smallest ordinary element.
+    """Independent evaluator: recurse on bare GF(2) rows, splitting on the
+    lowest column that is neither a loop nor a coloop.
 
-    An element that is neither a loop nor an isthmus splits the count into
-    deletion plus contraction; a minor with only loops and isthmuses
-    contributes x^isthmuses y^loops.  Minors are memoized under their
-    row-reduced sorted column multiset, which identifies them up to
-    relabelling and cannot change the (label-free) result.
+    A minor is its independent rows over its remaining columns.  The first
+    is built from the columns m was built from, not from m's reduced matrix,
+    which the activities walk reads.  In a minor's reduced rows a loop is a
+    column that no row holds and a coloop one that some row holds alone.
+    Deletion drops the splitting column's bit from every row; contraction
+    first clears it from the other rows with one row that holds it, then
+    drops that row and the bit.  A minor with only loops and coloops
+    contributes x^coloops y^loops.  Minors are memoized under their rank and
+    sorted reduced columns, which identify them up to relabelling and cannot
+    change the (label-free) result.
     """
     memo: dict[tuple[int, tuple[int, ...]], dict[tuple[int, int], int]] = {}
 
-    def recurse(mat: BinaryMatroid) -> dict[tuple[int, int], int]:
-        key = (mat.rank, tuple(sorted(mat.reduced.columns())))
+    def recurse(rows: Sequence[int], n: int) -> dict[tuple[int, int], int]:
+        reduced = Gf2Matrix(rows, n).rref()
+        columns = reduced.columns()
+        key = (reduced.nrows, tuple(sorted(columns)))
         hit = memo.get(key)
         if hit is not None:
             return hit
-        ordinary = None
-        isthmuses = 0
-        loops = 0
-        for e in mat.ground:
-            col = mat.column_of(e)
-            if col == 0:
-                loops += 1
-            elif mat.rank_of(set(mat.ground) - {e}) < mat.rank:
-                isthmuses += 1
-            elif ordinary is None:
-                ordinary = e
-        if ordinary is None:
-            result = {(isthmuses, loops): 1}
+        rows = reduced.rows
+        coloops = {r for r in rows if not r & (r - 1)}
+        ordinary = [j for j, c in enumerate(columns) if c and 1 << j not in coloops]
+        if not ordinary:
+            result = {(len(coloops), columns.count(0)): 1}
         else:
-            result: dict[tuple[int, int], int] = {}
-            for part in (
-                recurse(mat.delete({ordinary})),
-                recurse(mat.contract_independent({ordinary})),
-            ):
-                for pair, c in part.items():
-                    result[pair] = result.get(pair, 0) + c
+            bit = 1 << ordinary[0]
+            low = bit - 1
+
+            def drop(r: int) -> int:
+                return r & low | r >> 1 & ~low
+
+            p = next(r for r in rows if r & bit)
+            cleared = [r ^ p if r & bit else r for r in rows if r != p]
+            result = dict(recurse([drop(r) for r in rows], n - 1))
+            for pair, c in recurse([drop(r) for r in cleared], n - 1).items():
+                result[pair] = result.get(pair, 0) + c
         memo[key] = result
         return result
 
-    return _grid_from_counts(recurse(m), m.rank, m.size - m.rank)
+    start = Gf2Matrix.from_columns([m.column_of(e) for e in m.ground], m.rank)
+    grid = [[0] * (m.size - m.rank + 1) for _ in range(m.rank + 1)]
+    for (i, j), c in recurse(start.rows, m.size).items():
+        grid[i][j] += c
+    return TuttePolynomial(grid)

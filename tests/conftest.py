@@ -6,7 +6,7 @@ import collections
 import functools
 import itertools
 import operator
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import pytest
 from hypothesis import assume, settings
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from matroidcat.catalogue import matroid_of_labels
 from matroidcat.enumeration import generate
-from matroidcat.gf2 import Gf2Matrix, rank_of_labels, transform_bits
+from matroidcat.gf2 import Gf2Matrix, echelon_basis, rank_of_labels, transform_bits
 from matroidcat.matroid import BinaryMatroid
 from matroidcat.tutte import fundamental_circuit
 
@@ -314,6 +314,51 @@ def is_regular_by_camion(m: BinaryMatroid) -> bool:
     free = [1 << j for j in range(m.size) if 1 << j not in pivots]
     a_rows = [sum(1 << i for i, bit in enumerate(free) if r & bit) for r in rows]
     return is_totally_unimodular(camion_signing(a_rows, len(free)))
+
+
+def contract(m: BinaryMatroid, subset: Iterable[int]) -> BinaryMatroid:
+    """Contract an independent set by reducing the columns against its own.
+
+    Elements are processed in ascending label order.  Each one claims the
+    lowest row not yet claimed that holds a 1 in its current column, and
+    that column is added to every other remaining column with a 1 in the
+    row: this is the pivot there, up to the claimed rows, which are dropped
+    at the end with the contracted columns.  The minor keeps m's labels.
+    """
+    todo = frozenset(subset)
+    if not todo <= set(m.ground):
+        raise ValueError("contraction set must lie inside the ground set")
+    if m.rank_of(todo) != len(todo):
+        raise ValueError(f"{sorted(todo)} is dependent")
+    if not todo:
+        return m
+
+    cols = {e: m.column_of(e) for e in m.ground}
+    claimed = 0  # bitmask of consumed rows
+    for e in sorted(todo):
+        c = cols.pop(e)
+        free = c & ~claimed
+        bit = free & -free  # lowest free row holding a 1
+        cols = {f: d ^ c if d & bit else d for f, d in cols.items()}
+        claimed |= bit
+    columns = list(cols.values())
+    for i in reversed(range(m.rank)):  # drop the claimed rows, highest first
+        if claimed >> i & 1:
+            low = (1 << i) - 1
+            columns = [c & low | c >> 1 & ~low for c in columns]
+    return BinaryMatroid(columns, m.rank - len(todo), tuple(cols))
+
+
+def delete(m: BinaryMatroid, subset: Iterable[int]) -> BinaryMatroid:
+    """Remove elements; the rows become an echelon basis of the row space
+    in case rank drops.  The minor keeps m's labels."""
+    gone = frozenset(subset)
+    if not gone <= set(m.ground):
+        raise ValueError("deletion set must lie inside the ground set")
+    survivors = tuple(e for e in m.ground if e not in gone)
+    cols = [m.column_of(e) for e in survivors]
+    rows = echelon_basis(Gf2Matrix.from_columns(cols, m.rank).rows)
+    return BinaryMatroid(Gf2Matrix(rows, len(survivors)).columns(), len(rows), survivors)
 
 
 def simplify(m: BinaryMatroid) -> tuple[BinaryMatroid, dict[int, frozenset[int]]]:

@@ -21,9 +21,11 @@ from conftest import (
     POLYGON_ROWS,
     R10_LABELS,
     bases,
+    contract,
     count_independent_sets,
     count_spanning_sets,
     cycle_matroid_of_complete_graph,
+    delete,
     is_fano,
     is_regular_by_camion,
     matroid,
@@ -92,7 +94,7 @@ def test_criterion_1_generation_regression(capsys):
 def test_criterion_2_contraction_regression():
     with criterion("criterion 2 (13-element contraction)", 1.0):
         m = matroid(NONREGULAR_13_ROWS)
-        minor = m.contract_independent({2, 7})
+        minor = contract(m, {2, 7})
         block = packed(CONTRACTED_BLOCK_ROWS)
         assert minor.ground == (1, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13)
         for e, column in zip(CONTRACTED_COLUMN_ORDER, block.columns()):
@@ -162,8 +164,8 @@ def test_criterion_7_regularity_sanity():
             if not regular:
                 continue
             for e in m.ground:
-                assert is_regular(m.delete({e}))[0], (m, "delete", e)
-                assert is_regular(m.contract_independent({e}))[0], (m, "contract", e)
+                assert is_regular(delete(m, {e}))[0], (m, "delete", e)
+                assert is_regular(contract(m, {e}))[0], (m, "contract", e)
     print()
 
 

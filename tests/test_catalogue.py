@@ -403,7 +403,7 @@ def test_cli_invalid_shape_exit_code(capsys):
 def test_cli_resource_guard_exit_code(capsys):
     assert main(["generate", "--rank", "1", "--size", "16", "--class", "loopless"]) == 3
     assert "--force" in capsys.readouterr().err
-    assert main(["counts", "--max-rank", "8", "--max-size", "4", "--class", "loopless"]) == 3
+    assert main(["counts", "--max-rank", "8", "--max-size", "8", "--class", "loopless"]) == 3
 
 
 def test_cli_dual_listing_resource_guard(capsys, monkeypatch):
@@ -420,13 +420,28 @@ def test_cli_dual_listing_resource_guard(capsys, monkeypatch):
 
 
 def test_cli_counts_force(capsys):
-    argv = ["counts", "--max-rank", "8", "--max-size", "4", "--class", "loopless"]
+    argv = ["counts", "--max-rank", "8", "--max-size", "8", "--class", "loopless"]
     assert main(argv) == 3
     assert "--force" in capsys.readouterr().err
     assert main(argv + ["--force"]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert len(rows) == 9
-    assert rows[-1].split() == ["k=8", "0", "0", "0", "0"]
+    assert rows[-1].split() == ["k=8", "0", "0", "0", "0", "0", "0", "0", "1"]
+
+
+def test_cli_counts_guards_the_largest_rank_that_holds_a_cell(capsys):
+    # no cell has a rank above its size, so ranks 6-8 of a size-5 table are 0
+    argv = ["counts", "--max-rank", "8", "--max-size", "5", "--class", "loopless"]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[:6] == run_counts(5, 5, "loopless").splitlines()
+    assert rows[6:] == [f"k={k} " + " ".join(["  0"] * 5) for k in (6, 7, 8)]
+    # a rank that holds a cell past the guard, a size past it, and a rank
+    # bound past every size the guard allows
+    for rank, size in (("8", "8"), ("2", "16"), ("16", "5")):
+        argv = ["counts", "--max-rank", rank, "--max-size", size, "--class", "loopless"]
+        assert main(argv) == 3
+        assert "--force" in capsys.readouterr().err
 
 
 def test_cli_dual_listing_canonicalize_refuses_before_work(capsys, monkeypatch):

@@ -10,6 +10,8 @@ from conftest import (
     FANO_DUAL_ROWS,
     FANO_ROWS,
     binary_matroids,
+    contract,
+    delete,
     is_fano,
     is_fano_dual,
     matroid,
@@ -83,16 +85,14 @@ def test_nonregular13(nonregular13):
     assert witness.kind == "fano"
     # the witness is a corank-3 flat whose contraction simplifies to Fano
     assert witness.flat in nonregular13.flats_of_corank(3)
-    recheck = nonregular13.contract_independent(
-        _spanning_subset(nonregular13, witness.flat)
-    )
+    recheck = contract(nonregular13, _spanning_subset(nonregular13, witness.flat))
     assert is_fano(simplify(recheck)[0])
 
 
 def test_nonregular13_hand_worked_flat(nonregular13):
     """{2, 7} spans a corank-3 flat and certifies non-regularity on its own."""
     assert frozenset({2, 7}) in nonregular13.flats_of_corank(3)
-    minor = nonregular13.contract_independent({2, 7})
+    minor = contract(nonregular13, {2, 7})
     assert is_fano(simplify(minor)[0])
 
 
@@ -118,8 +118,8 @@ def test_regularity_is_self_dual():
 
 def test_regular_survives_single_element_minors():
     for e in K4.ground:
-        assert is_regular(K4.delete({e}))[0]
-        assert is_regular(K4.contract_independent({e}))[0]
+        assert is_regular(delete(K4, {e}))[0]
+        assert is_regular(contract(K4, {e}))[0]
 
 
 def test_polygon_is_regular(polygon):
@@ -133,7 +133,7 @@ def test_witness_rechecks_for_both_kinds(nonregular13):
     for m in cases:
         ok, witness = is_regular(m)
         assert not ok
-        minor = m.contract_independent(_spanning_subset(m, witness.flat))
+        minor = contract(m, _spanning_subset(m, witness.flat))
         simple = simplify(minor)[0]
         if witness.kind == "fano":
             assert is_fano(simple)
@@ -151,7 +151,7 @@ def is_regular_reference(m):
         for flat in sorted(m.flats_of_corank(corank), key=sorted):
             if m.size - len(flat) < 7:
                 continue
-            minor = m.contract_independent(_spanning_subset(m, flat))
+            minor = contract(m, _spanning_subset(m, flat))
             if recognize(simplify(minor)[0]):
                 return False, FanoWitness(flat=flat, kind=kind)
     return True, None

@@ -183,6 +183,24 @@ def test_deletion_contraction_agrees_on_fano_both_ways():
         )
 
 
+def test_deletion_contraction_builds_no_matroid(polygon, monkeypatch):
+    # seven drawn columns, then five unit columns so that they span
+    rng = random.Random(27)
+    labels = [rng.randrange(32) for _ in range(7)] + [1, 2, 4, 8, 16]
+    drawn = matroid_of_labels(labels, 5)
+    expected = [tutte_by_activities(m) for m in (polygon, drawn)]
+    built = []
+    init = BinaryMatroid.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BinaryMatroid, "__init__", counting_init)
+    assert [tutte_by_deletion_contraction(m) for m in (polygon, drawn)] == expected
+    assert built == []
+
+
 def test_counting_identities(polygon):
     fano = matroid(FANO_ROWS)
     for m in (polygon, fano, fano.dual(), PARALLEL_PAIR):
