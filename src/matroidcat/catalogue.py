@@ -1,8 +1,11 @@
 """Catalogue assembly and the command line interface.
 
-Each subcommand is its ``run_*`` function plus its options, each option
-declared once in ``_parser``; ``main`` calls the runner with the parsed
-options as keywords (``counts`` prints through ``_print_counts``).
+Each subcommand is one row of ``_COMMANDS``: its ``run_*`` function, its
+summary and its options, each option declared once in ``_OPTIONS``.
+``main`` reads the options with one loop over those tables, refusing a
+usage error as argparse does, and calls the runner with them as keywords
+(``counts`` prints through ``_print_counts``); ``--help`` is formatted from
+the same tables.
 
 Subcommands:
 
@@ -27,12 +30,10 @@ runs.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
 import re
 import sys
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Optional
 
 from .enumeration import InvalidShape, canonical_form, generate
 from .gf2 import nullspace_of_reduced, rank_of_labels
@@ -330,68 +331,87 @@ def _print_counts(**options) -> None:
     sys.stdout.write(run_counts(**options))
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The command line parser, built on the first call and then reused:
-    parse_args starts every call from a fresh namespace.
+# each option: the keyword under which the runner takes it, its metavar
+# (None for a flag), int or its choices, and whether it is required
+_OPTIONS = {
+    "--rank": ("k", "RANK", int, True),
+    "--size": ("n", "SIZE", int, True),
+    "--max-rank": ("max_k", "MAX_RANK", int, True),
+    "--max-size": ("max_n", "MAX_SIZE", int, True),
+    "--class": ("matroid_class", "{" + ",".join(MATROID_CLASSES) + "}", MATROID_CLASSES, True),
+    "--regular-only": ("regular_only", None, None, False),
+    "--tutte": ("with_tutte", None, None, False),
+    "--out": ("out", "OUT", None, False),
+    "--canonicalize": ("canonicalize", None, None, False),
+    "--force": ("force", None, None, False),
+}
 
-    Each subcommand is its runner plus its options.  set_defaults binds the
-    runner once, when the cached parser is first built, and the dest of
-    each option is the keyword under which the runner takes it.
-    """
-    parser = argparse.ArgumentParser(
-        prog="matroidcat",
-        description="Catalogue of small binary matroids: generation, "
-        "regularity, Tutte polynomials.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    options = {
-        "--rank": dict(dest="k", metavar="RANK", type=int, required=True),
-        "--size": dict(dest="n", metavar="SIZE", type=int, required=True),
-        "--max-rank": dict(dest="max_k", metavar="MAX_RANK", type=int, required=True),
-        "--max-size": dict(dest="max_n", metavar="MAX_SIZE", type=int, required=True),
-        "--class": dict(dest="matroid_class", choices=MATROID_CLASSES, required=True),
-        "--regular-only": dict(action="store_true"),
-        "--tutte": dict(dest="with_tutte", action="store_true"),
-        "--out": {},
-        "--canonicalize": dict(action="store_true"),
-        "--force": dict(action="store_true"),
-    }
-    helps = {
-        ("dual-listing", "--class"): "class of the generated rank (size - rank) side, "
-        "not of its duals",
-    }
-    for name, run, summary, flags in (
-        (
-            "generate",
-            run_generate,
-            "generate one (rank, size) cell",
-            "--rank --size --class --regular-only --tutte --out --force",
-        ),
-        (
-            "dual-listing",
-            run_dual_listing,
-            "list a high rank by dualizing the low-rank side",
-            "--rank --size --class --out --canonicalize --force",
-        ),
-        (
-            "counts",
-            _print_counts,
-            "print a table of class counts",
-            "--max-rank --max-size --class --regular-only --force",
-        ),
-    ):
-        command = sub.add_parser(name, help=summary)
-        command.set_defaults(run=run)
-        for flag in flags.split():
-            command.add_argument(flag, help=helps.get((name, flag)), **options[flag])
-    return parser
+# each subcommand: its runner, its summary and its options, in --help's order
+_COMMANDS = {
+    "generate": (run_generate, "generate one (rank, size) cell",
+                 "--rank --size --class --regular-only --tutte --out --force".split()),
+    "dual-listing": (run_dual_listing, "list a high rank by dualizing the low-rank side",
+                     "--rank --size --class --out --canonicalize --force".split()),
+    "counts": (_print_counts, "print a table of class counts",
+               "--max-rank --max-size --class --regular-only --force".split()),
+}
+# what --help prints below the options of a subcommand
+_NOTES = {"dual-listing": "--class is the class of the generated rank (size - rank) side, "
+                          "not of its duals"}
+_HELP = ("-h", "--help")
+
+
+def _exit(command: Optional[str], error: str = "") -> NoReturn:
+    """With an error, print the usage line and the error on stderr and exit
+    2, as argparse does; without, print the help text and exit 0."""
+    if command is None:
+        prog, words = "matroidcat", ["{" + ",".join(_COMMANDS) + "} ..."]
+        lines = ["Catalogue of small binary matroids: generation, regularity, "
+                 "Tutte polynomials.", "", "commands:"]
+        lines += [f"  {name:14}{summary}" for name, (_, summary, _) in _COMMANDS.items()]
+    else:
+        _, summary, options = _COMMANDS[command]
+        spelled = {o: " ".join(filter(None, (o, _OPTIONS[o][1]))) for o in options}
+        prog = f"matroidcat {command}"
+        words = [s if _OPTIONS[o][3] else f"[{s}]" for o, s in spelled.items()]
+        lines = [summary, "", "options:", "  -h, --help", *(f"  {s}" for s in spelled.values())]
+        lines += ["", _NOTES[command]] if command in _NOTES else []
+    usage = " ".join(["usage:", prog, "[-h]", *words])
+    if error:
+        sys.stderr.write(f"{usage}\n{prog}: error: {error}\n")
+        raise SystemExit(2)
+    sys.stdout.write("\n".join([usage, "", *lines, ""]))
+    raise SystemExit(0)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    options = vars(_parser().parse_args(argv))
-    del options["command"]
-    run = options.pop("run")
+    args = sys.argv[1:] if argv is None else list(argv)
+    command = args.pop(0) if args else ""
+    if command not in _COMMANDS:
+        error = f"invalid command {command!r}" if command else "a command is required"
+        _exit(None, "" if command in _HELP else error)
+    run, _, names = _COMMANDS[command]
+    options = {}
+    while args:
+        option, inline, value = args.pop(0).partition("=")
+        if option not in names:
+            _exit(command, "" if option in _HELP else f"unrecognized argument {option}")
+        keyword, metavar, kind, _ = _OPTIONS[option]
+        if inline and not metavar:
+            _exit(command, f"argument {option}: takes no value")
+        if metavar and not inline:
+            if not args or args[0].startswith("--"):
+                _exit(command, f"argument {option}: expected one argument")
+            value = args.pop(0)
+        try:
+            options[keyword] = int(value) if kind is int else value if metavar else True
+        except ValueError:
+            _exit(command, f"argument {option}: invalid int value: {value!r}")
+        if kind not in (None, int) and value not in kind:
+            _exit(command, f"argument {option}: invalid choice: {value!r}")
+    missing = [o for o in names if _OPTIONS[o][3] and _OPTIONS[o][0] not in options]
+    if missing:
+        _exit(command, "the following arguments are required: " + ", ".join(missing))
     try:
         run(**options)
     except (InvalidShape, UnwritableOutput) as exc:

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import argparse
+import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -507,42 +508,103 @@ def test_cli_rejects_unknown_class(capsys):
             assert "--class" in capsys.readouterr().err
 
 
-def test_cli_surface():
-    # the options and metavars of each subcommand, in the order --help lists
-    (subcommands,) = [
-        action.choices
-        for action in catalogue._parser()._actions
-        if isinstance(action, argparse._SubParsersAction)
-    ]
+def help_text(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out.splitlines()
+
+
+def test_cli_surface(capsys):
+    # the usage line, summary and options of each subcommand, as --help
+    # lists them, and the top-level usage line listing every summary
     classes = "{" + ",".join(MATROID_CLASSES) + "}"
-    for command, options, usage in (
+    top = help_text(capsys)
+    assert top[0] == "usage: matroidcat [-h] {generate,dual-listing,counts} ..."
+    for command, summary, options in (
         (
             "generate",
-            "--rank --size --class --regular-only --tutte --out --force",
+            "generate one (rank, size) cell",
             f"--rank RANK --size SIZE --class {classes} [--regular-only] [--tutte] "
             "[--out OUT] [--force]",
         ),
         (
             "dual-listing",
-            "--rank --size --class --out --canonicalize --force",
+            "list a high rank by dualizing the low-rank side",
             f"--rank RANK --size SIZE --class {classes} [--out OUT] [--canonicalize] "
             "[--force]",
         ),
         (
             "counts",
-            "--max-rank --max-size --class --regular-only --force",
+            "print a table of class counts",
             f"--max-rank MAX_RANK --max-size MAX_SIZE --class {classes} "
             "[--regular-only] [--force]",
         ),
     ):
-        parser = subcommands[command]
-        accepted = {s for action in parser._actions for s in action.option_strings}
-        assert accepted == {"-h", "--help", *options.split()}, command
-        # argparse wraps the usage line at the terminal width
-        assert " ".join(parser.format_usage().split()) == (
-            f"usage: matroidcat {command} [-h] {usage}"
-        )
-    assert set(subcommands) == {"generate", "dual-listing", "counts"}
+        assert f"  {command:14}{summary}" in top
+        lines = help_text(capsys, command)
+        assert lines[:3] == [f"usage: matroidcat {command} [-h] {options}", "", summary]
+        start = lines.index("options:") + 1
+        listed = [line.strip() for line in itertools.takewhile(bool, lines[start:])]
+        spelled = re.findall(r"--[a-z-]+(?: [A-Z_]+| {[a-z,-]+})?", options)
+        assert listed == ["-h, --help", *spelled], command
+    note = "--class is the class of the generated rank (size - rank) side, not of its duals"
+    assert help_text(capsys, "dual-listing")[-1] == note
+
+
+CELL = ["--rank", "3", "--size", "4", "--class", "loopless"]
+USAGE_ERRORS = [
+    # argv, the subcommand whose usage it prints, what the error names
+    ([], None, "command"),
+    (["graph"], None, "'graph'"),
+    (["--rank", "3"], None, "'--rank'"),
+    (["generate", *CELL, "--bogus"], "generate", "--bogus"),
+    (["generate", *CELL, "--reg"], "generate", "--reg"),
+    (["generate", *CELL, "--canonicalize"], "generate", "--canonicalize"),
+    (["generate", *CELL, "7"], "generate", "7"),
+    (["generate", *CELL, "--tutte=yes"], "generate", "--tutte"),
+    (["generate", *CELL, "--out"], "generate", "--out"),
+    (["counts", "--max-rank", "--max-size", "3", "--class", "simple"], "counts", "--max-rank"),
+    (["generate", "--rank", "x", "--size", "4", "--class", "simple"], "generate", "--rank"),
+    (["dual-listing", "--rank=2", "--size=4.0", "--class=simple"], "dual-listing", "--size"),
+    (["generate", "--rank", "3", "--size", "4", "--class", "graphic"], "generate", "--class"),
+    (["counts", "--max-rank", "2", "--class", "simple"], "counts", "--max-size"),
+    (["dual-listing", "--size", "3"], "dual-listing", "--rank, --class"),
+]
+
+
+@pytest.mark.parametrize("argv, command, named", USAGE_ERRORS)
+def test_cli_usage_errors(argv, command, named, capsys):
+    # argparse's contract: the usage line, then the error, and exit code 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    prog = f"matroidcat {command}" if command else "matroidcat"
+    usage, error = err.splitlines()
+    assert usage.startswith(f"usage: {prog} [-h] ")
+    assert error.startswith(f"{prog}: error: ") and named in error
+    assert out == ""
+
+
+def test_cli_help_exits_zero(capsys):
+    for argv in ([], ["generate"], ["dual-listing"], ["counts"], ["counts", "--force"]):
+        assert help_text(capsys, *argv)[0].startswith("usage: matroidcat ")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.splitlines() == help_text(capsys, *argv)
+
+
+def test_cli_inline_and_repeated_values(capsys):
+    # --opt=value reads as --opt value, and a repeated option keeps its last value
+    assert main(["generate", "--rank=3", "--size=4", "--class=loopless"]) == 0
+    assert capsys.readouterr().out.splitlines() == RANK3_SIZE4_LINES
+    argv = ["generate", "--rank", "2", "--class=simple", "--size", "4", "--rank=3"]
+    assert main([*argv, "--class", "loopless"]) == 0
+    assert capsys.readouterr().out.splitlines() == RANK3_SIZE4_LINES
 
 
 def test_module_entry_point(capsys):
@@ -578,8 +640,8 @@ def test_cli_internal_value_error_propagates(monkeypatch):
         main(["generate", "--rank", "3", "--size", "4", "--class", "loopless"])
 
 
-def test_cli_calls_share_one_parser_and_no_flags(capsys):
-    # the parser is built once per process; every call starts from defaults
+def test_cli_calls_start_from_the_defaults(capsys):
+    # no option of one call carries over to the next
     cell = ["--rank", "3", "--size", "7", "--class", "loopless"]
     assert main(["generate", *cell, "--regular-only", "--tutte"]) == 0
     assert main(["generate", *cell]) == 0
@@ -591,4 +653,3 @@ def test_cli_calls_share_one_parser_and_no_flags(capsys):
     second = lines_of(run_generate(3, 7, "loopless", out="/dev/null"))
     assert out == first + second + run_counts(3, 7, "loopless").splitlines()
     assert len(first) < len(second) and "tutte=" not in "".join(second)
-    assert catalogue._parser() is catalogue._parser()

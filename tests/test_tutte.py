@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from conftest import (
     matroid,
 )
 from matroidcat.catalogue import matroid_of_labels
-from matroidcat.gf2 import NotInSpan, rank_of_labels
+from matroidcat.gf2 import NotInSpan, rank_of_labels, span_labels
 from matroidcat.matroid import BinaryMatroid
 from matroidcat.tutte import (
     TuttePolynomial,
@@ -305,6 +306,36 @@ def test_rosenstiehl_read_identity(m):
     ]
     d = m.rank - rank_of_labels(gram)
     assert tutte_by_activities(m).evaluate(-1, -1) == (-1) ** m.size * (-2) ** d
+
+
+@settings(max_examples=200)
+@given(binary_matroids())
+def test_greene_weight_enumerator(m):
+    # W(x, y), the sum of x^(n - wt) y^wt over the codewords of the row
+    # space, is y^(n-k) (x - y)^k T((x + y)/(x - y), x/y) (Greene 1976), that
+    # is the sum of t_ij (x + y)^i (x - y)^(k - i) x^j y^(n - k - j).  Both
+    # sides are homogeneous of degree n: each is its coefficients of y^0..y^n
+    k, n = m.rank, m.size
+    weights = [0] * (n + 1)
+    for word in span_labels(m.reduced.rows):
+        weights[word.bit_count()] += 1
+
+    def times(p, q):
+        product = [0] * (len(p) + len(q) - 1)
+        for a, u in enumerate(p):
+            for b, v in enumerate(q):
+                product[a + b] += u * v
+        return product
+
+    expansion = [0] * (n + 1)
+    for i, row in enumerate(tutte_by_activities(m).grid):
+        plus = [math.comb(i, a) for a in range(i + 1)]
+        minus = [(-1) ** b * math.comb(k - i, b) for b in range(k - i + 1)]
+        for j, t in enumerate(row):
+            shift = [0] * (n - k - j) + [t]
+            for power, c in enumerate(times(times(plus, minus), shift)):
+                expansion[power] += c
+    assert expansion == weights
 
 
 @pytest.mark.parametrize("r, spanning_trees", [(2, 3), (3, 16), (4, 125), (5, 1296)])
