@@ -305,15 +305,20 @@ def is_totally_unimodular(matrix: list[list[int]]) -> bool:
     )
 
 
-def is_regular_by_camion(m: BinaryMatroid) -> bool:
-    """Regularity of m = M[I | A] decided by Camion's signing of A, the
-    reduced rows restricted to the non-pivot columns: m is regular exactly
-    when that signing is totally unimodular."""
+def signed_free_part(m: BinaryMatroid) -> list[list[int]]:
+    """Camion's signing of A, for m = M[I | A]: the reduced rows restricted
+    to the non-pivot columns."""
     rows = m.reduced.rows
     pivots = {r & -r for r in rows}
     free = [1 << j for j in range(m.size) if 1 << j not in pivots]
     a_rows = [sum(1 << i for i, bit in enumerate(free) if r & bit) for r in rows]
-    return is_totally_unimodular(camion_signing(a_rows, len(free)))
+    return camion_signing(a_rows, len(free))
+
+
+def is_regular_by_camion(m: BinaryMatroid) -> bool:
+    """Regularity of m = M[I | A] decided by Camion's signing of A: m is
+    regular exactly when that signing is totally unimodular."""
+    return is_totally_unimodular(signed_free_part(m))
 
 
 def contract(m: BinaryMatroid, subset: Iterable[int]) -> BinaryMatroid:

@@ -11,6 +11,7 @@ from conftest import (
     FANO_ROWS,
     binary_matroids,
     contract,
+    cycle_matroid_of_complete_graph,
     delete,
     is_fano,
     is_fano_dual,
@@ -19,7 +20,6 @@ from conftest import (
     simplify,
 )
 from matroidcat.catalogue import matroid_of_labels
-from matroidcat.gf2 import echelon_basis
 from matroidcat.matroid import BinaryMatroid
 from matroidcat.regularity import FanoWitness, is_regular
 
@@ -175,36 +175,102 @@ def test_is_regular_matches_built_minors_on_draws(m):
         assert is_regular(side) == is_regular_reference(side), side
 
 
-def test_is_regular_walks_no_subset_without_seven_survivors(monkeypatch):
-    # a corank-c flat keeps at most (size - rank) + c elements outside it
-    walked = []
-    for m in reference_cases():
+def test_is_regular_reads_no_column_without_seven_survivors(monkeypatch):
+    # rank <= 2 leaves no corank-3 flat, and size - rank <= 2 leaves at most
+    # six elements outside any flat of corank 4 or less
+    def no_column(self, e):
+        raise AssertionError("a column was read")
 
-        def recording(subset, m=m):
-            corank = m.rank - len(subset)
-            walked.append((m.size - m.rank + corank, corank))
-            return echelon_basis(subset)
+    cases = [m for m in reference_cases() if m.rank <= 2 or m.size - m.rank <= 2]
+    monkeypatch.setattr(BinaryMatroid, "column_of", no_column)
+    assert {m.rank for m in cases} >= {0, 1, 2, 3, 4}
+    for m in cases:
+        assert is_regular(m) == (True, None)
 
-        monkeypatch.setattr(regularity, "echelon_basis", recording)
-        is_regular(m)
-    assert all(survivors >= 7 for survivors, _ in walked)
-    assert {c for _, c in walked} == {3, 4}
+
+def _recorded_walks(monkeypatch, m):
+    """is_regular(m) and the nodes its walk enters, one list per corank, in
+    the order entered: each node's flat, its points (the distinct nonzero
+    residues) and the picks it has left."""
+    walks = {}
+    current = []
+    walk = regularity._first_basis
+
+    def recording(residues, start, left, kind):
+        if start == 0:
+            # a walk starts at its root, whose residues are the distinct
+            # nonzero columns
+            current[:] = [residues, walks.setdefault(m.rank - left, [])]
+        columns, nodes = current
+        spanned = {0} | {c for c, r in zip(columns, residues) if not r}
+        flat = frozenset(e for e in m.ground if m.column_of(e) in spanned)
+        nodes.append((flat, len(set(residues) - {0}), left))
+        return walk(residues, start, left, kind)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(regularity, "_first_basis", recording)
+        return is_regular(m), walks
+
+
+def _walked_cases():
+    """reference_cases() with M(K5), M(K6) and their duals, whose walks
+    make up to seven picks, so that one flat has many independent bases."""
+    graphic = [cycle_matroid_of_complete_graph(v) for v in (5, 6)]
+    return reference_cases() + graphic + [m.dual() for m in graphic]
+
+
+def test_is_regular_enters_each_flat_once_within_the_bound(monkeypatch):
+    walked = set()
+    for m in _walked_cases():
+        _, walks = _recorded_walks(monkeypatch, m)
+        for corank, nodes in walks.items():
+            walked.add(corank)
+            flats = [flat for flat, _, _ in nodes]
+            assert len(set(flats)) == len(flats), m
+            for flat, points, left in nodes:
+                # each pick still to make removes at least one point
+                assert points - left >= 7, m
+                assert m.rank_of(flat) + left == m.rank - corank, m
+    assert walked == {3, 4}
+
+
+def test_is_regular_meets_the_seven_point_flats_in_sorted_order(monkeypatch):
+    # the leaves of each walk are the flats of its corank whose simplified
+    # contraction keeps seven points, in sorted order, up to the witness
+    for m in _walked_cases():
+        (_, witness), walks = _recorded_walks(monkeypatch, m)
+        for corank, kind in ((3, "fano"), (4, "fano-dual")):
+            if m.rank < corank:
+                continue
+            expected = [
+                flat
+                for flat in sorted(m.flats_of_corank(corank), key=sorted)
+                if simplify(contract(m, _spanning_subset(m, flat)))[0].size >= 7
+            ]
+            stopped = witness is not None and witness.kind == kind
+            if stopped:
+                expected = expected[: expected.index(witness.flat) + 1]
+            leaves = [flat for flat, _, left in walks.get(corank, []) if not left]
+            assert leaves == expected, m
+            if stopped:
+                break
 
 
 def test_is_regular_stops_at_the_witness_basis(monkeypatch, nonregular13):
-    # no family is built, and no subset after the witness's lex-first basis
-    # is reduced
-    walked = []
-
-    def recording(subset):
-        walked.append(subset)
-        return echelon_basis(subset)
-
+    # no family is built, and the last node entered is the witness, reached
+    # through the closures of its lex-first basis's prefixes
     def no_family(*args):
         raise AssertionError("a family of flats was built")
 
-    monkeypatch.setattr(regularity, "echelon_basis", recording)
     monkeypatch.setattr(BinaryMatroid, "flats_of_corank", no_family)
-    _, witness = is_regular(nonregular13)
+    (_, witness), walks = _recorded_walks(monkeypatch, nonregular13)
+    nodes = walks[3]
     basis = _spanning_subset(nonregular13, witness.flat)
-    assert walked[-1] == tuple(nonregular13.column_of(e) for e in basis)
+    path = {left: flat for flat, _, left in nodes}
+    assert nodes[-1] == (witness.flat, 7, 0)
+    for picked in range(len(basis) + 1):
+        prefix = basis[:picked]
+        closure = frozenset(
+            e for e in nonregular13.ground if nonregular13.rank_of(prefix + [e]) == picked
+        )
+        assert path[len(basis) - picked] == closure

@@ -17,11 +17,13 @@ from conftest import (
     count_independent_sets,
     count_spanning_sets,
     cycle_matroid_of_complete_graph,
+    determinant,
     external_activity,
     internal_activity,
     matroid,
+    signed_free_part,
 )
-from matroidcat.catalogue import matroid_of_labels
+from matroidcat.catalogue import matroid_of_labels, run_generate
 from matroidcat.gf2 import NotInSpan, rank_of_labels, span_labels
 from matroidcat.matroid import BinaryMatroid
 from matroidcat.tutte import (
@@ -336,6 +338,35 @@ def test_greene_weight_enumerator(m):
             for power, c in enumerate(times(times(plus, minus), shift)):
                 expansion[power] += c
     assert expansion == weights
+
+
+def _signed_gram_determinant(m):
+    """det(S S^T), where S is m's reduced matrix [I | A] (up to the order of
+    its columns) with A signed by Camion's algorithm."""
+    s = [[int(i == j) for j in range(m.rank)] + a for i, a in enumerate(signed_free_part(m))]
+    return determinant([[sum(x * y for x, y in zip(u, v)) for v in s] for u in s])
+
+
+def test_binet_cauchy_on_the_regular_classes():
+    # det(S S^T) is the sum of det(S_B)^2 over the rank-sized column sets B
+    # (Binet-Cauchy), so it counts the bases when S is totally unimodular,
+    # as Camion's signing of a regular matroid is
+    entries = [
+        e
+        for n in range(1, 11)
+        for k in range(1, min(n, 5) + 1)
+        for e in run_generate(
+            k, n, "connected-simple", regular_only=True, with_tutte=True, out="/dev/null"
+        )
+    ]
+    assert len(entries) == 56
+    for e in entries:
+        m = matroid_of_labels(e.labels, e.rank)
+        assert e.tutte.evaluate(1, 1) == _signed_gram_determinant(m), e
+    # F7 has no totally unimodular signing: a basis determinant of +-2 shows
+    fano = matroid(FANO_ROWS)
+    assert tutte_by_activities(fano).evaluate(1, 1) == 28
+    assert _signed_gram_determinant(fano) == 32
 
 
 @pytest.mark.parametrize("r, spanning_trees", [(2, 3), (3, 16), (4, 125), (5, 1296)])
