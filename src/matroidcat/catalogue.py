@@ -3,9 +3,8 @@
 Each subcommand is one row of ``_COMMANDS``: its ``run_*`` function, its
 summary and its options, each option declared once in ``_OPTIONS``.
 ``main`` reads the options with one loop over those tables, refusing a
-usage error as argparse does, and calls the runner with them as keywords
-(``counts`` prints through ``_print_counts``); ``--help`` is formatted from
-the same tables.
+usage error as argparse does, and calls the runner with them as keywords;
+``--help`` is formatted from the same tables.
 
 Subcommands:
 
@@ -128,16 +127,18 @@ def _loop_flags(labels: tuple[int, ...]) -> str:
     return "LS" if len(set(labels)) == len(labels) else "L"
 
 
-def compute_flags(labels: tuple[int, ...], m: BinaryMatroid) -> str:
+def compute_flags(labels: tuple[int, ...], m: BinaryMatroid, connected: bool) -> str:
     """The L, S, C, R flags of the entry whose columns the labels list.
 
     L and S are read off the labels (_loop_flags).  C and R are decided on
     m, the entry's own matroid or its dual: connectivity (for two or more
     elements) and regularity are invariant under duality, so dual-listing
     passes the generated side, whose low rank keeps both checks cheap.
+    connected is m.is_connected(), which the pipeline has already decided
+    for its class filter.
     """
     flags = _loop_flags(labels)
-    if m.is_connected():
+    if connected:
         flags += "C"
     if is_regular(m)[0]:
         flags += "R"
@@ -200,11 +201,12 @@ def _pipeline(
     for labels in generate(side, n, base):
         tutte = None
         m = matroid_of_labels(labels, side)
-        if need_connected and not m.is_connected():
+        connected = m.is_connected()
+        if need_connected and not connected:
             continue
         if dualize:
             labels = tuple(sorted(nullspace_of_reduced(m.reduced).columns()))
-        letters = compute_flags(labels, m)
+        letters = compute_flags(labels, m, connected)
         if regular_only and "R" not in letters:
             continue
         if with_tutte:
@@ -284,7 +286,9 @@ def run_counts(
     regular_only: bool = False,
     force: bool = False,
 ) -> str:
-    """Class-count table over all cells with rank <= max_k, size <= max_n.
+    """Class-count table over all cells with rank <= max_k, size <= max_n,
+    written to stdout, as run_generate writes its entries without out, and
+    returned.
 
     The four plain classes are counted by Burnside's lemma over the cycle
     index of GL(k, 2), with no enumeration (orbits.class_counts).  Regular
@@ -315,7 +319,9 @@ def run_counts(
         for k in range(1, max_k + 1)
     ]
     width = max(len(s) for row in rows for s in row)
-    return "".join(" ".join(s.rjust(width) for s in row) + "\n" for row in rows)
+    table = "".join(" ".join(s.rjust(width) for s in row) + "\n" for row in rows)
+    sys.stdout.write(table)
+    return table
 
 
 def _write_entries(entries: list[CatalogueEntry], out: Optional[str]) -> None:
@@ -325,10 +331,6 @@ def _write_entries(entries: list[CatalogueEntry], out: Optional[str]) -> None:
     else:
         with open(out, "w", encoding="ascii", newline="\n") as fh:
             fh.write(text)
-
-
-def _print_counts(**options) -> None:
-    sys.stdout.write(run_counts(**options))
 
 
 # each option: the keyword under which the runner takes it, its metavar
@@ -352,7 +354,7 @@ _COMMANDS = {
                  "--rank --size --class --regular-only --tutte --out --force".split()),
     "dual-listing": (run_dual_listing, "list a high rank by dualizing the low-rank side",
                      "--rank --size --class --out --canonicalize --force".split()),
-    "counts": (_print_counts, "print a table of class counts",
+    "counts": (run_counts, "print a table of class counts",
                "--max-rank --max-size --class --regular-only --force".split()),
 }
 # what --help prints below the options of a subcommand

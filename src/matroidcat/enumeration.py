@@ -263,26 +263,13 @@ def _lex_larger_witness_columns(values: Sequence[int], k: int) -> _Witness | Non
     return None
 
 
-def lex_larger_witness(labels: Iterable[int], k: int) -> tuple[int, ...] | None:
-    """The columns of an invertible matrix w whose relabelling of the labels'
-    multiplicity function f, i.e. label -> f(label of w applied to that
-    label's vector), is lexicographically larger than f.  None when no such
-    matrix exists.
-    """
-    hit = _lex_larger_witness_columns(_multiplicities(labels, k), k)
-    return None if hit is None else tuple(_complete_to_basis(hit[0], k))
-
-
-def is_canonical(labels: Iterable[int], k: int) -> bool:
-    """True when the labels' multiplicity function is the lexicographically
-    largest in its orbit, i.e. the labels are the smallest of their class."""
-    return _lex_larger_witness_columns(_multiplicities(labels, k), k) is None
-
-
 def canonical_form(labels: Iterable[int], k: int) -> tuple[int, ...]:
     """The smallest sorted label tuple of the labels' class: their function
     relabelled through the witness of each rejection, completed to a basis,
-    until the canonicity test finds none."""
+    until the canonicity test finds none.  So the labels are canonical, the
+    representative that generate emits for their class, exactly when
+    canonical_form(labels, k) == tuple(sorted(labels)): one search, as
+    a canonical input has no witness."""
     values = _multiplicities(labels, k)
     while (hit := _lex_larger_witness_columns(values, k)) is not None:
         g = _complete_to_basis(hit[0], k)

@@ -117,15 +117,24 @@ def test_from_line_rejects_labels_that_do_not_span():
             CatalogueEntry.from_line(line)
 
 
+def flags_of(labels, k):
+    """compute_flags on the labels' own matroid, its connectivity decided
+    as the pipeline decides it."""
+    m = matroid_of_labels(labels, k)
+    return compute_flags(labels, m, m.is_connected())
+
+
 def test_matroid_of_labels_and_flags():
     k4 = matroid_of_labels((1, 2, 3, 4, 5, 6), 3)
     assert k4.rank == 3 and k4.size == 6
-    assert compute_flags((1, 2, 3, 4, 5, 6), k4) == "LSCR"
-    assert compute_flags((1, 1), matroid_of_labels((1, 1), 1)) == "LCR"
+    assert flags_of((1, 2, 3, 4, 5, 6), 3) == "LSCR"
+    assert flags_of((1, 1), 1) == "LCR"
     # a loop kills L, S and C, but a rank-1 matroid is still regular
-    assert compute_flags((0, 1), matroid_of_labels((0, 1), 1)) == "R"
+    assert flags_of((0, 1), 1) == "R"
     fano = (1, 2, 3, 4, 5, 6, 7)
-    assert compute_flags(fano, matroid_of_labels(fano, 3)) == "LSC"
+    assert flags_of(fano, 3) == "LSC"
+    # C is the connectivity verdict passed in, not decided again
+    assert compute_flags(fano, matroid_of_labels(fano, 3), False) == "LS"
 
 
 def test_generate_rank3_size4_golden_lines():
@@ -193,7 +202,7 @@ def test_out_file_is_ascii_with_lf(tmp_path):
     assert raw == b"".join(line.encode() + b"\n" for line in RANK3_SIZE4_LINES)
 
 
-def test_counts_table_text():
+def test_counts_table_text(capsys):
     table = run_counts(3, 5, "loopless")
     assert table == (
         "k\\n   1   2   3   4   5\n"
@@ -201,6 +210,8 @@ def test_counts_table_text():
         "k=2   0   1   2   3   4\n"
         "k=3   0   0   1   3   6\n"
     )
+    # written to stdout as well, as run_generate writes its entries
+    assert capsys.readouterr().out == table
 
 
 def test_counts_match_generate():
@@ -266,7 +277,7 @@ def test_dual_listing_flags_match_direct_flags():
         (6, 10, "connected-loopless"),
     ):
         for e in run_dual_listing(k, n, matroid_class, out="/dev/null"):
-            assert e.flags == compute_flags(e.labels, matroid_of_labels(e.labels, k)), e
+            assert e.flags == flags_of(e.labels, k), e
             flags.add(e.flags)
     assert any("R" not in f for f in flags)
     assert any("C" not in f for f in flags)

@@ -20,9 +20,7 @@ from matroidcat.enumeration import (
     candidate_functions,
     canonical_form,
     generate,
-    is_canonical,
     label_vector_of,
-    lex_larger_witness,
 )
 from matroidcat.gf2 import rank_of_labels, transform_bits
 
@@ -41,29 +39,24 @@ def test_multiplicity_function_validation():
     for not_spanning, k in (((1, 1, 1, 1), 2), ((), 1), ((0, 3, 3), 2)):
         with pytest.raises(InvalidShape):
             canonical_form(not_spanning, k)
-        with pytest.raises(InvalidShape):
-            is_canonical(not_spanning, k)
 
 
 def test_negative_rank_is_an_invalid_shape():
-    for check in (canonical_form, is_canonical, lex_larger_witness):
-        with pytest.raises(InvalidShape, match="negative"):
-            check([1], -1)
+    with pytest.raises(InvalidShape, match="negative"):
+        canonical_form([1], -1)
 
 
 def test_huge_rank_is_rejected_before_its_multiplicities_are_allocated():
     # at k = 64 a list of 2^64 multiplicities cannot even be requested, so
     # the labels are checked first: one label spans no GF(2)^64
-    for check in (canonical_form, is_canonical, lex_larger_witness):
-        with pytest.raises(InvalidShape, match="do not span"):
-            check([1], 64)
+    with pytest.raises(InvalidShape, match="do not span"):
+        canonical_form([1], 64)
 
 
 def test_label_vector_validation():
     for bad in ((1, 4), (-1, 1, 2), (1, 2, 3, 7)):
-        for check in (canonical_form, is_canonical, lex_larger_witness):
-            with pytest.raises(LabelOutOfRange):
-                check(bad, 2)
+        with pytest.raises(LabelOutOfRange):
+            canonical_form(bad, 2)
 
 
 def test_conversions_match_known_pairs():
@@ -71,15 +64,15 @@ def test_conversions_match_known_pairs():
     assert label_vector_of((2, 0, 3, 1)) == (0, 0, 2, 2, 2, 3)
 
 
-def test_is_canonical_known_representatives():
-    assert is_canonical((1, 1, 2, 4), 3)
-    assert is_canonical((1, 2, 3, 4), 3)
-    assert is_canonical((1, 2, 4, 7), 3)
+def test_known_representatives_are_canonical():
+    # canonical labels are exactly the fixed points of canonical_form
+    for labels in ((1, 1, 2, 4), (1, 2, 3, 4), (1, 2, 4, 7)):
+        assert canonical_form(labels, 3) == labels
 
 
-def test_is_canonical_rejects_unit_dominance_violation():
+def test_unit_dominance_violation_is_not_canonical():
     # f(2) > f(1) cannot be lexicographically largest
-    assert not is_canonical((1, 2, 2, 4), 3)
+    assert canonical_form((1, 2, 2, 4), 3) != (1, 2, 2, 4)
 
 
 def relabelled(values, w):
@@ -87,9 +80,15 @@ def relabelled(values, w):
     return tuple(values[transform_bits(w, j)] for j in range(len(values)))
 
 
+def completed_witness(values, k):
+    """The search's witness columns completed to a basis, or None."""
+    hit = _lex_larger_witness_columns(values, k)
+    return None if hit is None else _complete_to_basis(hit[0], k)
+
+
 def test_witness_image_is_lex_larger():
     f = (0, 1, 2, 0, 1, 0, 0, 0)
-    w = lex_larger_witness(label_vector_of(f), 3)
+    w = completed_witness(f, 3)
     assert w is not None
     assert relabelled(f, w) > f
     # the scan only keeps the image prefix; its completion must still work
@@ -98,7 +97,7 @@ def test_witness_image_is_lex_larger():
     for k, n, cls in cells:
         rejected = 0
         for values in candidate_functions(k, n, cls, [None]):
-            w = lex_larger_witness(label_vector_of(values), k)
+            w = completed_witness(values, k)
             if w is None:
                 continue
             rejected += 1
@@ -110,7 +109,8 @@ def test_witness_image_is_lex_larger():
 
 
 def test_witness_absent_for_canonical():
-    assert lex_larger_witness((1, 1, 2, 4), 3) is None
+    # the multiplicities of (1, 1, 2, 4)
+    assert _lex_larger_witness_columns((0, 2, 1, 0, 1, 0, 0, 0), 3) is None
 
 
 def test_complete_to_basis_appends_least_labels_outside_span():
@@ -192,7 +192,7 @@ def test_generate_emits_spanning_canonical_functions():
         for n in range(k, 6):
             for r in generate(k, n, "loopless"):
                 assert rank_of_labels(set(r)) == k
-                assert is_canonical(r, k)
+                assert canonical_form(r, k) == r
 
 
 def test_generate_simple_has_distinct_labels():
@@ -364,7 +364,8 @@ def test_canonical_form_fixes_exactly_the_canonical_candidates():
         for values in _reference_scan(k, n, cls)[0]:
             labels = label_vector_of(values)
             is_fixed = canonical_form(labels, k) == labels
-            assert is_fixed == is_canonical(labels, k), (values, k)
+            verdict = _lex_larger_witness_columns(values, k) is None
+            assert is_fixed == verdict, (values, k)
             fixed += is_fixed
     assert fixed
 

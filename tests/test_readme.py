@@ -46,5 +46,8 @@ def test_first_command_line_example_prints_what_it_documents(capsys):
 
 
 def test_every_exported_name_resolves():
+    # the package root exports exactly the names the Library snippet imports
+    imported = re.search(r"^from matroidcat import (.*)$", _library_snippet(), re.M)
+    assert sorted(matroidcat.__all__) == sorted(imported.group(1).split(", "))
     for name in matroidcat.__all__:
         assert getattr(matroidcat, name) is not None, name

@@ -61,3 +61,6 @@ def test_trace_hooks_count_every_layer():
     assert metrics["enumeration.canonicity.calls"] == metrics["enumeration.candidates"]
     # one elimination per built matroid: nothing else calls Gf2Matrix.rref
     assert metrics["gf2.rref.calls"] == metrics["matroid.build.calls"]
+    # one connectivity test per built matroid: compute_flags takes the
+    # verdict of the pipeline's class filter
+    assert metrics["matroid.is_connected.calls"] == metrics["matroid.build.calls"]
