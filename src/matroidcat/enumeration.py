@@ -45,11 +45,13 @@ search would return.  So each tested label (the subspace labels 2^t and the
 complete candidate) keeps the last witness found there and first walks it
 on the new prefix.  Consecutive prefixes often differ only near their end,
 so one relabelling often rejects a whole run of them, and then neither the
-search nor the complete candidate's test runs.  A stored witness that
-the walk finds larger on the new prefix is a proven rejection of it, with
-its own reach, which the walk reads as it goes (the one place the fill
-walks a witness), so this too skips only non-canonical candidates, in the
-fill's order.
+search nor the complete candidate's test runs.  The fill stores a
+witness as its table of images of the labels below 2^s, built once when it
+is stored, and the walk reads that table.  A stored witness that the walk
+finds larger on the new prefix is a proven rejection of it, with its own
+reach, which the walk reads as it goes (the one place the fill walks a
+witness), so this too skips only non-canonical candidates, in the fill's
+order.
 
 The canonicity test searches the tie tree of partial matrices depth first,
 and its first path is the identity, so every other full tie it reaches is
@@ -64,6 +66,11 @@ witness, and the test returns exactly what the exhaustive search returns:
 None, or the same witness.  At level t the test tries only the labels h
 with f(h) >= f(2^t): every other h loses the first comparison of its block,
 f(h) against f(2^t), so the search still meets the same first witness.
+So the siblings read the orbits of these heads only, and each automorphism
+is merged into the orbits over the heads of every level (those of the level
+with the least unit value), skipping the labels it fixes: an automorphism
+keeps f, so it maps heads onto heads, and the heads' orbits are those of a
+merge over every label.
 
 The same test yields the canonical form of any spanning label tuple, loops
 included: the search never reads the multiplicity of label 0, and every
@@ -79,7 +86,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .gf2 import echelon_basis, rank_of_labels, transform_bits
+from .gf2 import echelon_basis, rank_of_labels
 
 
 class InvalidShape(Exception):
@@ -160,7 +167,9 @@ def _lex_larger_witness_columns(values: Sequence[int], k: int) -> _Witness | Non
     * orbits: every automorphism found so far lies below (e_1, ..., e_t)
       and so fixes e_1, ..., e_t; a sibling that is not the least label of
       its orbit under them has the verdict and the subtree of a child tried
-      before it, and is skipped.
+      before it, and is skipped.  Only the orbits of heads (below) are
+      read, so each automorphism is merged over the heads of every level
+      alone, and a label it fixes is skipped.
 
     Neither rule skips a witness, and the children are still tried in the
     same order, so the first witness found, or None, is that of the
@@ -172,8 +181,9 @@ def _lex_larger_witness_columns(values: Sequence[int], k: int) -> _Witness | Non
     is larger at the block position m, after ties on every earlier label.
     That comparison read values at x and at its image for every x up to
     2^t + m, and the largest such label is the reach (_witness_reach walks
-    the columns again to the same label): every function that agrees with
-    values up to it is rejected by every completion of the columns.
+    the columns' image table to the same label): every function that
+    agrees with values up to it is rejected by every completion of the
+    columns.
 
     One list holds the partial matrix: images[x] is the image of label x,
     for the labels below 2^t once t images are chosen.  So the images
@@ -227,7 +237,12 @@ def _lex_larger_witness_columns(values: Sequence[int], k: int) -> _Witness | Non
             for m in range(base):
                 images[base + m] = h ^ images[m]
             if t + 1 == k:  # an automorphism: merge its orbits, then jump
-                for x, y in enumerate(images):
+                # over the heads of every level, those of the level with
+                # the least unit value: the only orbits the siblings read
+                for x in level(min(range(k), key=lambda i: values[1 << i])):
+                    y = images[x]
+                    if x == y:
+                        continue
                     while orbit[x] != x:
                         x = orbit[x]
                     while orbit[y] != y:
@@ -272,8 +287,7 @@ def canonical_form(labels: Iterable[int], k: int) -> tuple[int, ...]:
     a canonical input has no witness."""
     values = _multiplicities(labels, k)
     while (hit := _lex_larger_witness_columns(values, k)) is not None:
-        g = _complete_to_basis(hit[0], k)
-        values = [values[transform_bits(g, x)] for x in range(1 << k)]
+        values = [values[y] for y in _relabelling(_complete_to_basis(hit[0], k))]
     return label_vector_of(values)
 
 
@@ -286,11 +300,22 @@ def canonical_form(labels: Iterable[int], k: int) -> tuple[int, ...]:
 _restriction_witness = _lex_larger_witness_columns
 
 
-def _witness_reach(values: Sequence[int], cols: Sequence[int]) -> int | None:
+def _relabelling(cols: Sequence[int]) -> list[int]:
+    """The images of the labels below 2^s under the relabelling g whose
+    leading columns are cols = (c_1, ..., c_s): g(x) = c_(i+1) ^ g(x - 2^i)
+    for 2^i <= x < 2^(i+1), so each column doubles the table."""
+    images = [0]
+    for c in cols:
+        images += [c ^ y for y in images]
+    return images
+
+
+def _witness_reach(values: Sequence[int], images: Sequence[int]) -> int | None:
     """The largest label on which the rejection of values by the witness
-    with leading columns cols depends, or None when those columns prove no
-    rejection of values.  The fill calls it only to retry a stored witness
-    on a new prefix; the search returns the reach of a fresh witness.
+    whose image table is images, _relabelling of its leading columns,
+    depends, or None when those columns prove no rejection of values.  The
+    fill calls it only to retry a stored witness on a new prefix; the search
+    returns the reach of a fresh witness.
 
     The columns c_1, ..., c_s fix the relabelling g on the labels below 2^s.
     When the relabelled function is larger at the first label x0 where the
@@ -298,24 +323,18 @@ def _witness_reach(values: Sequence[int], cols: Sequence[int]) -> int | None:
     x <= x0, so any function that agrees with values on the labels up to
     the returned one, max(x, g(x)) over x <= x0, is rejected by every
     completion of the same columns.  When it is smaller there, or ties on
-    every label below 2^s, None is returned.  The walk builds each image
-    g(x) = c_(i+1) ^ g(x - 2^i), for 2^i <= x < 2^(i+1), only when it reads it.
+    every label below 2^s, None is returned.
     """
-    images = [0]
     reach = 0
-    for c in cols:
-        base = len(images)
-        for m in range(base):
-            gx = c ^ images[m]
-            if gx > reach:
-                reach = gx
-            got = values[gx]
-            want = values[base + m]
-            if got != want:
-                if got < want:
-                    return None
-                return base + m if base + m > reach else reach
-            images.append(gx)
+    for x, gx in enumerate(images):
+        if gx > reach:
+            reach = gx
+        got = values[gx]
+        want = values[x]
+        if got != want:
+            if got < want:
+                return None
+            return x if x > reach else reach
     return None
 
 
@@ -346,9 +365,10 @@ def candidate_functions(
     over an explicit stack, so a jump unwinds any number of labels at once.
 
     Each tested label, 2^t for 2 <= t < k and the full tuple, keeps the
-    columns of the last witness found there.  Before it searches, or
-    yields, the fill walks them on the new prefix (_witness_reach, the
-    only walk, as a fresh witness comes with its reach): a relabelling that
+    image table of the last witness found there (_relabelling of its
+    columns, built once when it is stored).  Before it searches, or yields,
+    the fill walks that table on the new prefix (_witness_reach, the only
+    walk, as a fresh witness comes with its reach): a relabelling that
     rejects it is as good a witness as a fresh one, so the fill jumps on
     its reach, and only otherwise runs the search or yields the tuple.
     Runs of tuples that differ only near their end are often rejected by
@@ -369,13 +389,13 @@ def candidate_functions(
     least = [0] * size  # the least value at each label: 1 at the units
     for i in range(k):
         least[1 << i] = 1
-    # the labels whose prefix is tested, and the columns of the last witness
-    # found at each
+    # the labels whose prefix is tested, and the image table of the last
+    # witness found at each
     tested = bytearray(size + 1)
     tested[size] = 1
     for t in range(2, k):
         tested[1 << t] = 1
-    kept: list[tuple[int, ...] | None] = [None] * (size + 1)
+    kept: list[list[int] | None] = [None] * (size + 1)
     # on entering each label: the sum still to place
     left = [n] * (size + 1)
     pos = 1
@@ -399,7 +419,8 @@ def candidate_functions(
                     else:
                         hit = _restriction_witness(values, j)
                     if hit is not None:
-                        kept[pos], reach = hit
+                        cols, reach = hit
+                        kept[pos] = _relabelling(cols)
                 if reach is not None:
                     back = reach
             if back == pos:

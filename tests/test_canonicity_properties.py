@@ -9,6 +9,7 @@ from conftest import relabellings
 from matroidcat.enumeration import (
     _complete_to_basis,
     _lex_larger_witness_columns,
+    _relabelling,
     _witness_reach,
     canonical_form,
     label_vector_of,
@@ -68,12 +69,15 @@ def test_witness_reach_exactly_when_the_relabelling_is_larger(k, data):
     for _ in range(data.draw(st.integers(0, k))):
         span = span_labels(cols)
         cols.append(data.draw(st.sampled_from([x for x in range(size) if x not in span])))
-    reach = _witness_reach(values, cols)
+    # the walk's table is the relabelling on the labels below 2^s
+    head = 1 << len(cols)
+    table = _relabelling(cols)
+    assert table == [transform_bits(cols, x) for x in range(head)]
+    reach = _witness_reach(values, table)
     g = _complete_to_basis(cols, k)
     image = tuple(values[transform_bits(g, x)] for x in range(size))
     # the columns fix the relabelling on the labels below 2^s; with s = k
     # that is the whole completed relabelling
-    head = 1 << len(cols)
     assert (reach is not None) == (image[:head] > values[:head])
     if reach is not None:
         assert image > values
@@ -97,5 +101,5 @@ def test_search_returns_the_reach_of_its_witness(k, data):
         hit = _lex_larger_witness_columns(values, t)
         if hit is not None:
             cols, reach = hit
-            assert reach == _witness_reach(values, cols)
+            assert reach == _witness_reach(values, _relabelling(cols))
             assert reach < 1 << t

@@ -7,13 +7,15 @@ compares it byte for byte with the SHA-256 in ``perfbench/goldens.json``
 class and each Tutte grid against deletion-contraction.  It runs here from
 the repository root in a fresh interpreter, reading perfbench/ only.
 
-``frontier_digests.json`` holds the SHA-256 of five larger listings, the
+``frontier_digests.json`` holds the SHA-256 of six larger listings, the
 deepest cells of the orderly scan that tier-1 can afford.  The first three
 were recorded with the scan before witness backjumping, simple rank 6 /
 size 12 with the scan before the fill retried its last witnesses, and
 connected-simple rank 7 / size 11 ``--regular-only --tutte`` with the
 regularity walk that reduced every column against each independent subset,
-so it pins the rank-7 regularity verdicts byte for byte.
+so it pins the rank-7 regularity verdicts byte for byte.  Simple rank 7 /
+size 11 was recorded with the search that merged each automorphism's
+orbits over every label, so it pins the rank-7 simple scan byte for byte.
 """
 
 from __future__ import annotations
