@@ -11,18 +11,31 @@ multiplicity functions correspond to lexicographically *smallest* label
 tuples, and come out in increasing label-tuple order.
 
 Generation is Read's orderly scheme: candidates are filled label by label,
-in decreasing lexicographic order, and every complete candidate is
-kept only when the backtracking canonicity test finds no invertible matrix
-whose relabelling is larger.  The fill prunes whole subtrees at the
-coordinate subspaces.  On reaching label 2^t (2 <= t < k) it has fixed the
-prefix below 2^t, which is a multiplicity function on V_t = <e_1, ..., e_t>,
-and it descends only when that restriction is canonical under GL(t).  This
+in decreasing lexicographic order, and a complete candidate is kept only
+when it is canonical: no invertible matrix relabels it into a larger one.
+The fill prunes whole subtrees at the coordinate subspaces.  On reaching
+label 2^t (2 <= t < k) it has fixed the prefix below 2^t, which is a
+multiplicity function on V_t = <e_1, ..., e_t>, and it descends only when
+that restriction is canonical under GL(t).  This
 is sound: a matrix g of GL(t) whose relabelling of the restriction is
 larger, extended by the identity on e_(t+1), ..., e_k, fixes V_t and
 relabels every completion of the prefix into one that is larger on the
 labels below 2^t already, so no completion is canonical.  Every candidate
-that survives the pruning still gets the full test, so the output is the
+that survives the pruning is still tested in full, so the output is the
 same as that of the unpruned scan.
+
+The full test of most kept candidates needs no search.  The fill yields
+candidates in decreasing lexicographic order and never skips a canonical
+one, so the first candidate it yields of each class is the class's largest
+function, its canonical one.  So a candidate is canonical when no earlier
+kept candidate shares its value of a GL(k, 2)-invariant key: the sorted
+Walsh-Hadamard transform of the multiplicity function, which is the weight
+distribution of the row space (Greene 1976), computed in place on one
+packed int (_weight_distribution).  Only a candidate whose key was seen
+before goes to the backtracking canonicity search, which keeps or rejects
+it and returns the witness of a rejection.  A restriction always goes to
+the search: a backjump can skip a canonical restriction, so the first
+restriction of a class that the fill meets need not be canonical.
 
 The fill also backjumps on the witness of every rejection, of a complete
 candidate or of a restriction (the pruning by certificate of McKay,
@@ -84,6 +97,8 @@ representative that generate emits for f's class.
 
 from __future__ import annotations
 
+from functools import cache
+from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
 from .gf2 import echelon_basis, rank_of_labels
@@ -437,6 +452,53 @@ def candidate_functions(
         pos += 1
 
 
+@cache
+def _walsh_stages(k: int, width: int) -> tuple[Struct, list[tuple[int, int, int]]]:
+    """The packing of 2^k fields of width bytes and, for each stage of the
+    Walsh-Hadamard transform, its shift, its mask of the fields it keeps
+    low and its bias correction (see _weight_distribution)."""
+    size = 1 << k
+    ones = b"\xff" * width
+    bias = bytes(width - 1) + b"\x80"
+    butterflies = []
+    for i in range(k):
+        # the fields x with bit i clear, as all ones and as the bias
+        low, low_bias = (
+            int.from_bytes((field * (1 << i) + bytes(width << i)) * (size >> i + 1), "little")
+            for field in (ones, bias)
+        )
+        # stage 0 reads unbiased fields and biases both halves; a later
+        # stage reads the bias twice in a sum and not at all in a difference
+        shift = width << i + 3
+        butterflies.append((shift, low, (low_bias << shift) + (low_bias if i == 0 else -low_bias)))
+    return Struct(f"<{size}{'BHIQ'[width.bit_length() - 1]}"), butterflies
+
+
+def _weight_distribution(values: Sequence[int], k: int, n: int) -> bytes:
+    """The weight distribution of the row space of the matrix whose columns
+    are the labels of values (a multiplicity function of total n), as the
+    sorted fields of a byte string: an invariant of the class under GL(k, 2).
+
+    The codeword of the functional y has weight (n - W(y)) / 2, where
+    W(y) = sum over x of values[x] * (-1)^(y . x) is the Walsh-Hadamard
+    transform; an invertible matrix g maps W onto W composed with the
+    inverse transpose of g, so the sorted W is an invariant.  The transform
+    runs in place on one int, values[x] in the little-endian field x of w
+    bits, with k butterfly stages: a stage pairs the fields x and x + 2^i
+    (bit i of x clear) and writes their sum and difference.  Every partial
+    sum lies in [-n, n], so each field holds its value plus the bias
+    2^(w - 1) and w = 8, 16, 32 or 64 is the least with n < 2^(w - 1)
+    (generate admits no larger n).
+    """
+    fields, butterflies = _walsh_stages(k, 1 << (n.bit_length() >> 3).bit_length())
+    packed = int.from_bytes(fields.pack(*values), "little")
+    for shift, low, change in butterflies:
+        lo = packed & low
+        hi = packed >> shift & low
+        packed = lo + hi + (lo - hi << shift) + change
+    return fields.pack(*sorted(fields.unpack(packed.to_bytes(fields.size, "little"))))
+
+
 def generate(
     k: int, n: int, matroid_class: str = "loopless"
 ) -> Iterator[tuple[int, ...]]:
@@ -444,11 +506,27 @@ def generate(
     lexicographic order; each is the smallest label tuple of its class.  The
     test of each candidate goes back to the fill through candidate_functions'
     witness slot, so the fill backjumps on every rejection.
+
+    A candidate whose weight distribution (_weight_distribution) no earlier
+    kept candidate has is kept without a search.  The fill yields candidates
+    in decreasing lexicographic order and never skips a canonical one, so
+    the first candidate of each class that it yields is the class's
+    lexicographically largest function, its canonical one, and a candidate
+    that is not canonical comes after the canonical candidate of its class,
+    which was kept and shares its weight distribution.  The fill gets the
+    same report either way, so it takes the same path.  The set of keys
+    seen holds at most one per kept class.
     """
-    if not 1 <= k <= n:
-        raise InvalidShape(f"need 1 <= rank <= size, got rank {k}, size {n}")
+    if not 1 <= k <= n < 1 << 63:
+        raise InvalidShape(f"need 1 <= rank <= size < 2^63, got rank {k}, size {n}")
     witness: list[_Witness | None] = [None]
+    seen: set[bytes] = set()
     for values in candidate_functions(k, n, matroid_class, witness):
-        witness[0] = _lex_larger_witness_columns(values, k)
+        key = _weight_distribution(values, k, n)
+        if key in seen:
+            witness[0] = _lex_larger_witness_columns(values, k)
+        else:
+            seen.add(key)
+            witness[0] = None
         if witness[0] is None:
             yield label_vector_of(values)

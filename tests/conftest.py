@@ -192,6 +192,17 @@ def orbit_maximum(labels, k: int) -> tuple[int, ...]:
     return max(relabel(values) for relabel in relabellings(k))
 
 
+def walsh_spectrum(values, k: int) -> list[int]:
+    """The sorted sums W(y) = sum over x of values[x] * (-1)^(y . x), one
+    per y in GF(2)^k, each sign read off the parity of x & y: the row
+    space's codeword of y has weight (n - W(y)) / 2, so this is its weight
+    distribution."""
+    return sorted(
+        sum(-v if bin(x & y).count("1") & 1 else v for x, v in enumerate(values))
+        for y in range(1 << k)
+    )
+
+
 def orbit_count(k: int, n: int, simple: bool) -> int:
     """Classify all spanning candidate functions under the full group action."""
     labels = range(1, 1 << k)

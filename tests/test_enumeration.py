@@ -7,16 +7,17 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import orbit_count
+from conftest import orbit_count, walsh_spectrum
 from matroidcat import enumeration
 from matroidcat.enumeration import (
     InvalidShape,
     LabelOutOfRange,
     _complete_to_basis,
     _lex_larger_witness_columns,
+    _weight_distribution,
     candidate_functions,
     canonical_form,
     generate,
@@ -178,6 +179,9 @@ def test_generate_rejects_bad_shape():
         list(generate(4, 3, "loopless"))
     with pytest.raises(InvalidShape):
         list(generate(0, 3, "loopless"))
+    # no field of the weight distribution's transform holds 2^63
+    with pytest.raises(InvalidShape):
+        list(generate(1, 1 << 63, "loopless"))
 
 
 def test_generate_output_is_strictly_increasing():
@@ -429,6 +433,117 @@ def test_scan_retries_the_last_witness_before_it_searches(
     assert kept == classes
     assert tests == full_tests
     assert searched == searches
+
+
+# -- acceptance on a new weight distribution ----------------------------------
+
+
+def _spectrum_of_key(key: bytes, k: int) -> list[int]:
+    """The sorted transform a _weight_distribution key holds: 2^k
+    little-endian fields, each biased by half its range."""
+    width = len(key) >> k
+    bias = 1 << 8 * width - 1
+    return [int.from_bytes(key[i : i + width], "little") - bias for i in range(0, len(key), width)]
+
+
+@st.composite
+def multiplicity_functions(draw):
+    """(values, k): a function on GF(2)^k, k <= 7, loops included, with
+    multiplicities up to 1 (1-byte fields), 300 (2-byte) or 1,000 (at
+    k = 7, 4-byte fields)."""
+    k = draw(st.integers(1, 7))
+    top = draw(st.sampled_from([1, 300, 1000]))
+    values = draw(st.lists(st.integers(0, top), min_size=1 << k, max_size=1 << k))
+    assume(any(values))
+    return tuple(values), k
+
+
+@settings(max_examples=200)
+@given(multiplicity_functions(), st.data())
+def test_weight_distribution_is_invariant_under_relabelling(case, data):
+    values, k = case
+    size = 1 << k
+    cols = data.draw(st.lists(st.integers(1, size - 1), min_size=k, max_size=k))
+    assume(rank_of_labels(cols) == k)
+    relabelled = [0] * size
+    for x, count in enumerate(values):
+        relabelled[transform_bits(cols, x)] = count
+    n = sum(values)
+    assert _weight_distribution(relabelled, k, n) == _weight_distribution(values, k, n)
+
+
+@settings(max_examples=200)
+@given(multiplicity_functions())
+def test_weight_distribution_matches_parity_sums(case):
+    values, k = case
+    assert _spectrum_of_key(_weight_distribution(values, k, sum(values)), k) == walsh_spectrum(
+        values, k
+    )
+
+
+def test_weight_distribution_is_exact_at_every_field_width():
+    # each width's largest n and the next, all of it on one label (every
+    # W(y) is n or -n) or split over three
+    widths = [(127, 1), (128, 2), (2**15 - 1, 2), (2**15, 4), (2**31 - 1, 4), (2**31, 8)]
+    for n, width in widths + [(2**63 - 1, 8)]:
+        third = n // 3
+        for k in (2, 3):
+            pad = (0,) * ((1 << k) - 4)
+            for values in ((0, n, 0, 0) + pad, (0, third, n - 2 * third, third) + pad):
+                key = _weight_distribution(values, k, n)
+                assert len(key) == width << k
+                assert _spectrum_of_key(key, k) == walsh_spectrum(values, k), (n, k, values)
+
+
+def _recording_scan(monkeypatch):
+    """(drawn, searched): the candidates generate draws from the fill and
+    those it runs the canonicity search on, as generate fills them."""
+    drawn, searched = [], []
+
+    def recording_test(values, k):
+        searched.append(values)
+        return _lex_larger_witness_columns(values, k)
+
+    def recording(*args):
+        for values in candidate_functions(*args):
+            drawn.append(values)
+            yield values
+
+    monkeypatch.setattr(enumeration, "_lex_larger_witness_columns", recording_test)
+    monkeypatch.setattr(enumeration, "candidate_functions", recording)
+    return drawn, searched
+
+
+def test_generate_keeps_without_a_search_only_canonical_candidates(monkeypatch):
+    # the first candidate of each weight distribution is the largest
+    # function of its class, so it is canonical and skips the search
+    drawn, searched = _recording_scan(monkeypatch)
+    accepted = 0
+    for k, n, cls in REFERENCE_CELLS:
+        drawn.clear()
+        searched.clear()
+        canonical = _reference_scan(k, n, cls)[1]
+        assert list(generate(k, n, cls)) == [label_vector_of(v) for v in canonical], (k, n, cls)
+        unsearched = set(drawn).difference(searched)
+        for values in unsearched:
+            assert _lex_larger_witness_columns(values, k) is None, (values, k)
+        # one acceptance per weight distribution that the classes have
+        assert len(unsearched) == len({tuple(walsh_spectrum(v, k)) for v in canonical})
+        accepted += len(unsearched)
+    assert accepted > 0
+
+
+@pytest.mark.parametrize(
+    "k, n, cls, classes, candidates, searches",
+    [(5, 10, "simple", 46, 280, 243), (5, 9, "loopless", 163, 431, 293)],
+)
+def test_generate_searches_only_candidates_of_a_seen_weight_distribution(
+    monkeypatch, k, n, cls, classes, candidates, searches
+):
+    drawn, searched = _recording_scan(monkeypatch)
+    assert len(list(generate(k, n, cls))) == classes
+    assert len(drawn) == candidates
+    assert len(searched) == searches
 
 
 def test_restriction_of_canonical_tuple_is_canonical():

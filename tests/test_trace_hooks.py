@@ -13,6 +13,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import walsh_spectrum
+from matroidcat.enumeration import _multiplicities, generate
+
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
@@ -56,9 +59,18 @@ def test_trace_hooks_count_every_layer():
         "gf2.rref.calls",
     ):
         assert metrics[name] > 0, name
-    # one full canonicity test per candidate; the fill's tests of subspace
-    # restrictions are part of candidate iteration
-    assert metrics["enumeration.canonicity.calls"] == metrics["enumeration.candidates"]
+    # one full canonicity test per candidate, less the first candidate of
+    # each weight distribution, which generate keeps without one; the fill's
+    # tests of subspace restrictions are part of candidate iteration. The
+    # scans are generate's (3, 5) simple and dual-listing's (2, 5) loopless.
+    accepted = sum(
+        len({tuple(walsh_spectrum(_multiplicities(ls, k), k)) for ls in generate(k, 5, cls)})
+        for k, cls in [(3, "simple"), (2, "loopless")]
+    )
+    assert accepted > 0
+    assert (
+        metrics["enumeration.canonicity.calls"] == metrics["enumeration.candidates"] - accepted
+    )
     # one elimination per built matroid: nothing else calls Gf2Matrix.rref
     assert metrics["gf2.rref.calls"] == metrics["matroid.build.calls"]
     # one connectivity test per built matroid: compute_flags takes the
