@@ -107,7 +107,7 @@ class CatalogueEntry(NamedTuple):
             raise ValueError(f"{line!r} has labels that do not span GF(2)^{k}")
         if flags.rstrip("CR") != _loop_flags(labels):
             raise ValueError(f"{line!r} has L and S flags its labels contradict")
-        if tutte and (tutte.max_x, tutte.max_y) != (k, n - k):
+        if tutte and (len(tutte.grid), len(tutte.grid[0])) != (k + 1, n - k + 1):
             raise ValueError(f"{line!r} has a Tutte grid of the wrong shape")
         if entry.to_line() != line:
             raise ValueError(f"{line!r} writes a number with a leading zero")

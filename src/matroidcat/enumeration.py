@@ -58,13 +58,13 @@ search would return.  So each tested label (the subspace labels 2^t and the
 complete candidate) keeps the last witness found there and first walks it
 on the new prefix.  Consecutive prefixes often differ only near their end,
 so one relabelling often rejects a whole run of them, and then neither the
-search nor the complete candidate's test runs.  The fill stores a
-witness as its table of images of the labels below 2^s, built once when it
-is stored, and the walk reads that table.  A stored witness that the walk
-finds larger on the new prefix is a proven rejection of it, with its own
-reach, which the walk reads as it goes (the one place the fill walks a
-witness), so this too skips only non-canonical candidates, in the fill's
-order.
+search nor the complete candidate's test runs.  The fill stores a witness
+as its table of images of the labels below 2^s, gf2.span_labels of its
+leading columns, built once when it is stored, and the walk reads that
+table.  A stored witness that the walk finds larger on the new prefix is a
+proven rejection of it, with its own reach, which the walk reads as it goes
+(the one place the fill walks a witness), so this too skips only
+non-canonical candidates, in the fill's order.
 
 The canonicity test searches the tie tree of partial matrices depth first,
 and its first path is the identity, so every other full tie it reaches is
@@ -89,10 +89,12 @@ The same test yields the canonical form of any spanning label tuple, loops
 included: the search never reads the multiplicity of label 0, and every
 relabelling fixes it.  Relabelling the function f through a witness,
 completed to a basis, gives a function of f's orbit that is
-lexicographically larger, so testing again and relabelling again climbs
-strictly within the orbit.  The orbit is finite, so the climb ends, and it
-ends only where the test finds no witness: at the orbit maximum, the
-representative that generate emits for f's class.
+lexicographically larger (read through the basis's image table,
+gf2.span_labels, as the fill reads a stored witness), so testing again
+and relabelling again climbs strictly within the orbit.  The orbit is
+finite, so the climb ends, and it ends only where the test finds no
+witness: at the orbit maximum, the representative that generate emits for
+f's class.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ from functools import cache
 from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
-from .gf2 import echelon_basis, rank_of_labels
+from .gf2 import echelon_basis, rank_of_labels, span_labels
 
 
 class InvalidShape(Exception):
@@ -302,7 +304,7 @@ def canonical_form(labels: Iterable[int], k: int) -> tuple[int, ...]:
     a canonical input has no witness."""
     values = _multiplicities(labels, k)
     while (hit := _lex_larger_witness_columns(values, k)) is not None:
-        values = [values[y] for y in _relabelling(_complete_to_basis(hit[0], k))]
+        values = [values[y] for y in span_labels(_complete_to_basis(hit[0], k))]
     return label_vector_of(values)
 
 
@@ -315,19 +317,9 @@ def canonical_form(labels: Iterable[int], k: int) -> tuple[int, ...]:
 _restriction_witness = _lex_larger_witness_columns
 
 
-def _relabelling(cols: Sequence[int]) -> list[int]:
-    """The images of the labels below 2^s under the relabelling g whose
-    leading columns are cols = (c_1, ..., c_s): g(x) = c_(i+1) ^ g(x - 2^i)
-    for 2^i <= x < 2^(i+1), so each column doubles the table."""
-    images = [0]
-    for c in cols:
-        images += [c ^ y for y in images]
-    return images
-
-
 def _witness_reach(values: Sequence[int], images: Sequence[int]) -> int | None:
     """The largest label on which the rejection of values by the witness
-    whose image table is images, _relabelling of its leading columns,
+    whose image table is images, span_labels of its leading columns,
     depends, or None when those columns prove no rejection of values.  The
     fill calls it only to retry a stored witness on a new prefix; the search
     returns the reach of a fresh witness.
@@ -380,7 +372,7 @@ def candidate_functions(
     over an explicit stack, so a jump unwinds any number of labels at once.
 
     Each tested label, 2^t for 2 <= t < k and the full tuple, keeps the
-    image table of the last witness found there (_relabelling of its
+    image table of the last witness found there (span_labels of its
     columns, built once when it is stored).  Before it searches, or yields,
     the fill walks that table on the new prefix (_witness_reach, the only
     walk, as a fresh witness comes with its reach): a relabelling that
@@ -435,7 +427,7 @@ def candidate_functions(
                         hit = _restriction_witness(values, j)
                     if hit is not None:
                         cols, reach = hit
-                        kept[pos] = _relabelling(cols)
+                        kept[pos] = span_labels(cols)
                 if reach is not None:
                     back = reach
             if back == pos:

@@ -10,7 +10,13 @@ Two eliminations do all the work.  ``Gf2Matrix.rref`` gives the reduced
 row echelon form with leftmost pivots, and ``nullspace_of_reduced`` reads
 the null space off it.  ``echelon_basis`` and ``reduce_bits`` eliminate on
 bare bitmasks, skipping the matrix objects: ``rank_of_labels`` and
-``solve_in_basis`` are built on them, and ``span_labels`` lists a span.
+``solve_in_basis`` are built on them.
+
+One walk lists a span: ``span_labels`` gives every XOR combination of its
+vectors, entry c the one with coefficient vector c.  That list is the image
+table of the matrix whose columns are the vectors, so it is also how a
+linear map acts on labels: ``orbits`` walks the cycles of a group element
+through it, and ``enumeration`` relabels multiplicity functions through it.
 """
 
 from __future__ import annotations
@@ -141,13 +147,16 @@ def nullspace_of_reduced(reduced: Gf2Matrix) -> Gf2Matrix:
     return Gf2Matrix(basis, reduced.ncols)
 
 
-def span_labels(labels: Sequence[int]) -> set[int]:
-    """All XOR combinations of the given bitmask vectors (including 0)."""
-    span = {0}
-    for v in labels:
-        if v not in span:
-            span |= {v ^ x for x in span}
-    return span
+def span_labels(vectors: Sequence[int]) -> list[int]:
+    """The XOR combinations of the vectors, indexed by coefficient vector:
+    entry c sums the vectors[i] whose bit i of c is set.  This is the image
+    table of the matrix whose columns are the vectors; each vector doubles
+    it, so m vectors give 2^m entries, with repeats when they are dependent.
+    """
+    images = [0]
+    for v in vectors:
+        images += [v ^ y for y in images]
+    return images
 
 
 def reduce_bits(v: int, echelon: Sequence[int]) -> int:
@@ -185,15 +194,3 @@ def gl_group_order(k: int) -> int:
     for i in range(k):
         order *= (1 << k) - (1 << i)
     return order
-
-
-def transform_bits(column_tuple: Sequence[int], v: int) -> int:
-    """Image of bitmask vector v under the matrix with the given columns."""
-    out = 0
-    t = 0
-    while v:
-        if v & 1:
-            out ^= column_tuple[t]
-        v >>= 1
-        t += 1
-    return out

@@ -8,7 +8,8 @@ and the cycle type is a class function.  The conjugacy classes are listed
 by their rational canonical forms (Kung, "The cycle structure of a linear
 transformation over a finite field", 1981; Fripertinger, "Cycle indices of
 linear, affine and projective groups", 1997), each with its size from
-Macdonald's centralizer order.
+Macdonald's centralizer order.  The cycle type is walked through the image
+table of a representative, gf2.span_labels of its columns.
 
 An orbit whose span has dimension r is a GL(r, 2) class of rank r, so the
 rank-k classes number N_k(n) - N_{k-1}(n).  Connected classes come from the
@@ -23,7 +24,7 @@ from collections import Counter
 from math import comb
 from typing import Iterator
 
-from .gf2 import gl_group_order, transform_bits
+from .gf2 import gl_group_order, span_labels
 
 # One partition per monic irreducible f != x: ((f, partition), ...), with f
 # a bitmask whose bit i is the coefficient of x^i.
@@ -130,17 +131,19 @@ def _centralizer_order(form: RationalForm) -> int:
 
 
 def _cycle_type(columns: tuple[int, ...]) -> Counter[int]:
-    """Cycle lengths of the matrix acting on the nonzero vectors."""
+    """Cycle lengths of the matrix acting on the nonzero vectors, walked
+    through its image table (span_labels of its columns)."""
+    images = span_labels(columns)
     lengths: Counter[int] = Counter()
-    seen = set()
-    for v in range(1, 1 << len(columns)):
-        if v in seen:
+    seen = bytearray(len(images))
+    for v in range(1, len(images)):
+        if seen[v]:
             continue
         length, w = 0, v
-        while w not in seen:
-            seen.add(w)
+        while not seen[w]:
+            seen[w] = 1
             length += 1
-            w = transform_bits(columns, w)
+            w = images[w]
         lengths[length] += 1
     return lengths
 

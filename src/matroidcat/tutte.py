@@ -14,7 +14,8 @@ definitions one basis at a time (the bases, the activities and the subset
 counts that T(2, 1) and T(1, 2) give) are test references, in
 ``tests/conftest.py``.
 ``TuttePolynomial`` holds only the coefficient grid; listings write it in
-the ``tutte=`` field of ``CatalogueEntry``.
+the ``tutte=`` field of ``CatalogueEntry``.  Evaluating it at a point is a
+test reference too (``evaluate`` in ``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -45,25 +46,9 @@ class TuttePolynomial(NamedTuple("TuttePolynomial", [("grid", tuple)])):
     def _make(cls, iterable) -> "TuttePolynomial":
         return cls(*iterable)
 
-    @property
-    def max_x(self) -> int:
-        return len(self.grid) - 1
-
-    @property
-    def max_y(self) -> int:
-        return len(self.grid[0]) - 1
-
     def total(self) -> int:
         """Sum of all coefficients; equals the number of bases."""
         return sum(sum(row) for row in self.grid)
-
-    def evaluate(self, x: int, y: int) -> int:
-        acc = 0
-        for i, row in enumerate(self.grid):
-            for j, c in enumerate(row):
-                if c:
-                    acc += c * x**i * y**j
-        return acc
 
     def transpose(self) -> "TuttePolynomial":
         return TuttePolynomial(zip(*self.grid))

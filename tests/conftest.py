@@ -6,7 +6,7 @@ import collections
 import functools
 import itertools
 import operator
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import pytest
 from hypothesis import assume, settings
@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from matroidcat.catalogue import matroid_of_labels
 from matroidcat.enumeration import generate
-from matroidcat.gf2 import Gf2Matrix, echelon_basis, rank_of_labels, transform_bits
+from matroidcat.gf2 import Gf2Matrix, echelon_basis, rank_of_labels
 from matroidcat.matroid import BinaryMatroid
-from matroidcat.tutte import fundamental_circuit
+from matroidcat.tutte import TuttePolynomial, fundamental_circuit
 
 # every property test draws the same examples on every run, with no stored
 # failures replayed and no time limit per example
@@ -155,6 +155,20 @@ def binary_matroids(draw, max_k: int = 5, max_n: int = 10) -> BinaryMatroid:
     cols = labels + [1 << (body + i) for i in range(coloops)]
     order = draw(st.permutations(range(n)))
     return matroid_of_labels([cols[j] for j in order], k)
+
+
+def transform_bits(column_tuple: Sequence[int], v: int) -> int:
+    """Image of bitmask vector v under the matrix with the given columns,
+    one bit of v at a time: the reference that image tables
+    (matroidcat.gf2.span_labels) are checked against."""
+    out = 0
+    t = 0
+    while v:
+        if v & 1:
+            out ^= column_tuple[t]
+        v >>= 1
+        t += 1
+    return out
 
 
 def gl_column_tuples(k: int) -> Iterator[tuple[int, ...]]:
@@ -434,6 +448,13 @@ def internal_activity(m: BinaryMatroid, basis: frozenset[int]) -> int:
 def _subsets(m: BinaryMatroid) -> Iterator[tuple[int, ...]]:
     return itertools.chain.from_iterable(
         itertools.combinations(m.ground, size) for size in range(m.size + 1)
+    )
+
+
+def evaluate(t: TuttePolynomial, x: int, y: int) -> int:
+    """T(x, y), summed term by term over the coefficient grid."""
+    return sum(
+        c * x**i * y**j for i, row in enumerate(t.grid) for j, c in enumerate(row) if c
     )
 
 

@@ -26,6 +26,7 @@ from conftest import (
     count_spanning_sets,
     cycle_matroid_of_complete_graph,
     delete,
+    evaluate,
     is_fano,
     is_regular_by_camion,
     matroid,
@@ -110,7 +111,7 @@ def test_criterion_3_polygon_regression():
         m = matroid(POLYGON_ROWS)
         assert m.circuits == {frozenset(c) for c in POLYGON_CIRCUITS}
         assert len(bases(m)) == 28
-        assert tutte_by_activities(m).evaluate(1, 1) == 28
+        assert evaluate(tutte_by_activities(m), 1, 1) == 28
     print()
 
 
@@ -144,9 +145,9 @@ def test_criterion_6_counting_identities():
         fano = matroid(FANO_ROWS)
         for m in _corpus() + [fano, fano.dual()]:
             t = tutte_by_activities(m)
-            assert t.evaluate(2, 2) == 1 << m.size
-            assert t.evaluate(2, 1) == count_independent_sets(m)
-            assert t.evaluate(1, 2) == count_spanning_sets(m)
+            assert evaluate(t, 2, 2) == 1 << m.size
+            assert evaluate(t, 2, 1) == count_independent_sets(m)
+            assert evaluate(t, 1, 2) == count_spanning_sets(m)
             assert tutte_by_activities(m.dual()).grid == t.transpose().grid
     print()
 

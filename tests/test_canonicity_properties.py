@@ -5,16 +5,15 @@ from __future__ import annotations
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import relabellings
+from conftest import relabellings, transform_bits
 from matroidcat.enumeration import (
     _complete_to_basis,
     _lex_larger_witness_columns,
-    _relabelling,
     _witness_reach,
     canonical_form,
     label_vector_of,
 )
-from matroidcat.gf2 import rank_of_labels, span_labels, transform_bits
+from matroidcat.gf2 import rank_of_labels, span_labels
 
 
 @st.composite
@@ -71,7 +70,7 @@ def test_witness_reach_exactly_when_the_relabelling_is_larger(k, data):
         cols.append(data.draw(st.sampled_from([x for x in range(size) if x not in span])))
     # the walk's table is the relabelling on the labels below 2^s
     head = 1 << len(cols)
-    table = _relabelling(cols)
+    table = span_labels(cols)
     assert table == [transform_bits(cols, x) for x in range(head)]
     reach = _witness_reach(values, table)
     g = _complete_to_basis(cols, k)
@@ -101,5 +100,5 @@ def test_search_returns_the_reach_of_its_witness(k, data):
         hit = _lex_larger_witness_columns(values, t)
         if hit is not None:
             cols, reach = hit
-            assert reach == _witness_reach(values, _relabelling(cols))
+            assert reach == _witness_reach(values, span_labels(cols))
             assert reach < 1 << t

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import orbit_count, walsh_spectrum
+from conftest import orbit_count, transform_bits, walsh_spectrum
 from matroidcat import enumeration
 from matroidcat.enumeration import (
     InvalidShape,
@@ -23,7 +23,7 @@ from matroidcat.enumeration import (
     generate,
     label_vector_of,
 )
-from matroidcat.gf2 import rank_of_labels, transform_bits
+from matroidcat.gf2 import rank_of_labels
 
 
 def test_transform_label_is_permutation():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FANO_DUAL_ROWS, FANO_ROWS, gl_column_tuples, packed
+from conftest import FANO_DUAL_ROWS, FANO_ROWS, gl_column_tuples, packed, transform_bits
 from matroidcat.gf2 import (
     Gf2Matrix,
     NotInSpan,
@@ -18,7 +18,6 @@ from matroidcat.gf2 import (
     rank_of_labels,
     solve_in_basis,
     span_labels,
-    transform_bits,
 )
 
 
@@ -85,7 +84,7 @@ def test_rref_is_idempotent_with_unit_pivot_columns(m):
     reduced = m.rref()
     assert (reduced.nrows, reduced.ncols) == (m.nrows, m.ncols)
     assert reduced.rref().rows == reduced.rows
-    assert span_labels(reduced.rows) == span_labels(m.rows)
+    assert set(span_labels(reduced.rows)) == set(span_labels(m.rows))
     # the pivot of a nonzero row is its lowest set bit, in a unit column
     pivots = [(r & -r).bit_length() - 1 for r in reduced.rows if r]
     assert rank_of_labels(m.rows) == len(pivots) and pivots == sorted(pivots)
@@ -114,7 +113,7 @@ def test_rref_pivots_are_the_leftmost_independent_columns(m, data):
     reduced_columns = reduced.columns()
     for i, j in enumerate(leftmost):
         assert reduced_columns[j] == 1 << i
-    assert span_labels(reduced.rows) == span_labels(m.rows)
+    assert set(span_labels(reduced.rows)) == set(span_labels(m.rows))
 
 
 def test_nullspace_is_orthogonal_complement():
@@ -125,7 +124,7 @@ def test_nullspace_is_orthogonal_complement():
         for r in m.rows:
             assert (v & r).bit_count() & 1 == 0
     # spans the same space as the known dual representation
-    assert span_labels(ns.rows) == span_labels(packed(FANO_DUAL_ROWS).rows)
+    assert set(span_labels(ns.rows)) == set(span_labels(packed(FANO_DUAL_ROWS).rows))
 
 
 @given(gf2_matrices())
@@ -139,7 +138,7 @@ def test_nullspace_basis_is_orthogonal_of_full_size(m):
         for v in range(1 << m.ncols)
         if not any((v & r).bit_count() & 1 for r in m.rows)
     }
-    assert span_labels(ns.rows) == orthogonal
+    assert set(span_labels(ns.rows)) == orthogonal
 
 
 def test_nullspace_trivial_cases():
@@ -149,9 +148,9 @@ def test_nullspace_trivial_cases():
 
 
 def test_row_space():
-    assert span_labels([0b101]) == {0b000, 0b101}
+    assert set(span_labels([0b101])) == {0b000, 0b101}
     assert len(span_labels(packed(FANO_ROWS).rows)) == 8
-    assert span_labels([0b01, 0b10]) == {0b00, 0b01, 0b10, 0b11}
+    assert set(span_labels([0b01, 0b10])) == {0b00, 0b01, 0b10, 0b11}
 
 
 @given(gf2_matrices())
@@ -160,8 +159,8 @@ def test_row_space_is_the_span_of_the_rows(m):
     basis = echelon_basis(m.rows)
     leading = [b.bit_length() for b in basis]
     assert leading == sorted(set(leading), reverse=True)
-    assert span_labels(basis) == span_labels(m.rows)
-    assert len(span_labels(m.rows)) == 1 << len(basis)
+    assert set(span_labels(basis)) == set(span_labels(m.rows))
+    assert len(set(span_labels(m.rows))) == 1 << len(basis)
 
 
 def test_row_space_closed_under_xor():
@@ -265,8 +264,8 @@ def test_rank_plus_nullity_is_ncols():
 
 
 def test_span_and_rank_of_labels():
-    assert span_labels([1, 2]) == {0, 1, 2, 3}
-    assert span_labels([]) == {0}
+    assert set(span_labels([1, 2])) == {0, 1, 2, 3}
+    assert span_labels([]) == [0]
     assert rank_of_labels([1, 2, 3]) == 2
     assert rank_of_labels([0]) == 0
     assert rank_of_labels([1, 2, 4, 7]) == 3
@@ -296,3 +295,20 @@ def test_transform_bits_is_linear():
             assert transform_bits(cols, v ^ w) == transform_bits(
                 cols, v
             ) ^ transform_bits(cols, w)
+
+
+def test_span_labels_lists_every_combination_by_coefficient_vector():
+    # entry c is the combination with coefficient vector c, so dependent
+    # vectors give repeats: 2^m entries for m vectors, whatever their rank
+    assert span_labels([0b011, 0b110]) == [0b000, 0b011, 0b110, 0b101]
+    assert span_labels([0b11, 0b11]) == [0b00, 0b11, 0b11, 0b00]
+    assert span_labels([0, 0b10, 0b10]) == [0, 0, 0b10, 0b10, 0b10, 0b10, 0, 0]
+
+
+@given(st.lists(st.integers(0, 63), max_size=6))
+def test_span_labels_is_the_image_table_of_the_columns(vectors):
+    # any vectors, dependent or zero included, against the reference that
+    # applies the matrix one bit of the coefficient vector at a time
+    table = span_labels(vectors)
+    assert table == [transform_bits(vectors, c) for c in range(1 << len(vectors))]
+    assert len(set(table)) == 1 << rank_of_labels(vectors)

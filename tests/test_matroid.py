@@ -97,7 +97,7 @@ def test_cocircuits_are_the_minimal_supports_of_the_row_space(m):
     # the row-space definition, which the dual's circuits are not computed by;
     # in order of weight, a support comes before every support containing it
     minimal = []
-    for v in sorted(span_labels(m.reduced.rows) - {0}, key=int.bit_count):
+    for v in sorted(set(span_labels(m.reduced.rows)) - {0}, key=int.bit_count):
         if not any(u & v == u for u in minimal):
             minimal.append(v)
     assert m.dual().circuits == {
